@@ -63,59 +63,25 @@ class EpsilonInput:
         return format_expr(self.expression)
 
 
-def _report(command: str, inputs: dict, results: list, anomalies: list,
-            no_timing: bool, started: float) -> dict:
-    rep = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "anomalies": anomalies,
-        "version": __version__,
-    }
-    if not no_timing:
-        rep["timings"] = {"seconds": round(time.time() - started, 3)}
-    return rep
+# Each cmd_* returns its report body: "inputs", "results", optional
+# "anomalies" and any extra keys, or None once it has written CSV.  `main`
+# adds the common keys, prints the JSON and picks the exit status.
 
-
-def _emit(rep: dict) -> None:
-    json.dump(rep, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _exit_code(rep: dict) -> int:
-    if rep["anomalies"]:
-        return 2
-    if all(r.get("pass", True) for r in rep["results"]):
-        return 0
-    return 2
-
-
-def _decimal(x: QSqrt2, places: int = 12) -> str:
-    return x.to_decimal(places)
-
-
-def cmd_digits(args) -> int:
-    started = time.time()
+def cmd_digits(args) -> dict:
     eps = EpsilonInput(args.epsilon)
     spec = SequenceSpec(eps.value, depth=2 * args.count + 1, max_bits=args.max_bits)
     trace = generate(spec)
     stream = digits_from_trace(trace, args.count)
     anomalies = [{"index": i, "digit": d} for i, d in stream.anomalies()]
-    rep = _report(
-        "digits",
-        {"epsilon": eps.canonical(), "count": args.count},
-        [{"name": "digits", "pass": not anomalies,
-          "witness": " ".join(str(d) for d in stream.digits)}],
-        anomalies, args.no_timing, started)
-    _emit(rep)
-    return _exit_code(rep)
+    return {"inputs": {"epsilon": eps.canonical(), "count": args.count},
+            "results": [{"name": "digits", "pass": not anomalies,
+                         "witness": " ".join(str(d) for d in stream.digits)}],
+            "anomalies": anomalies}
 
 
-def cmd_verify(args) -> int:
-    started = time.time()
+def cmd_verify(args) -> dict:
     indices = range(1, 9) if args.pair == "all" else [int(args.pair)]
     results = []
-    anomalies = []
     for i in indices:
         pair = entry(i)
         for label, eps in (("xi1", pair.xi1),
@@ -131,8 +97,8 @@ def cmd_verify(args) -> int:
                             "witness": f"printed even form matches: {cf.printed_even_ok}"})
             results.append({"name": "pair 5 interval",
                             "pass": True,
-                            "witness": f"[{_decimal(pair.xi1, 7)}..., "
-                                       f"{_decimal(pair.xi2, 7)}...)"})
+                            "witness": f"[{pair.xi1.to_decimal(7)}..., "
+                                       f"{pair.xi2.to_decimal(7)}...)"})
         else:
             cert = certify_pair(pair)
             results.append({"name": f"pair {i} certificate", "pass": cert.ok,
@@ -144,23 +110,16 @@ def cmd_verify(args) -> int:
                 if "erratum" in note:
                     results.append({"name": f"pair {i} note", "pass": True,
                                     "witness": note})
-    rep = _report("verify", {"pair": args.pair, "depth": args.depth},
-                  results, anomalies, args.no_timing, started)
-    _emit(rep)
-    return _exit_code(rep)
+    return {"inputs": {"pair": args.pair, "depth": args.depth}, "results": results}
 
 
-def cmd_discover(args) -> int:
-    started = time.time()
+def cmd_discover(args) -> dict:
     pair = entry(args.row)
     xi = pair.xi1
     if (xi - DOMAIN_LO).sign() == 0:
-        rep = _report("discover", {"row": args.row},
-                      [{"name": f"row {args.row} left endpoint", "pass": True,
-                        "witness": "domain boundary 1-sqrt2/2; no jump to locate"}],
-                      [], args.no_timing, started)
-        _emit(rep)
-        return _exit_code(rep)
+        return {"inputs": {"row": args.row},
+                "results": [{"name": f"row {args.row} left endpoint", "pass": True,
+                             "witness": "domain boundary 1-sqrt2/2; no jump to locate"}]}
     depth = pair.certification_depth if pair.index != 5 else 62
     # jump target: the constant value the trace takes just above the endpoint
     target = value_at(xi, depth)
@@ -177,16 +136,13 @@ def cmd_discover(args) -> int:
         ok = (halfint(c, d) - xi).sign() == 0 and ep.ok
         results = [
             {"name": f"row {args.row} left endpoint", "pass": ok,
-             "witness": f"c={c} d={d} ({_decimal(halfint(c, d))}...)"},
+             "witness": f"c={c} d={d} ({halfint(c, d).to_decimal()}...)"},
             {"name": "minimal polynomial", "pass": True, "witness": str(poly)},
         ]
     except ValueError as exc:
         results = [{"name": f"row {args.row} discovery", "pass": False,
                     "witness": f"{exc}; try raising --tol-bits"}]
-    rep = _report("discover", {"row": args.row, "tol_bits": args.tol_bits},
-                  results, [], args.no_timing, started)
-    _emit(rep)
-    return _exit_code(rep)
+    return {"inputs": {"row": args.row, "tol_bits": args.tol_bits}, "results": results}
 
 
 def _figure1_rows() -> list[dict]:
@@ -198,52 +154,47 @@ def _figure1_rows() -> list[dict]:
         rows.append({
             "row": pair.index,
             "xi1_c": c1, "xi1_d": d1, "xi2_c": c2, "xi2_d": d2,
-            "xi1_decimal": _decimal(pair.xi1), "xi2_decimal": _decimal(pair.xi2),
-            "t_exact": str(t.value()), "t_decimal": _decimal(t.value()),
+            "xi1_decimal": pair.xi1.to_decimal(), "xi2_decimal": pair.xi2.to_decimal(),
+            "t_exact": str(t.value()), "t_decimal": t.value().to_decimal(),
             "alpha": t.alpha, "beta": t.beta, "l": t.l,
         })
     return rows
 
 
-def _figure2_jumps(lo: Fraction, hi: Fraction, depth: int, samples: int) -> tuple[list, list]:
-    """Sampled step data plus exactly-identified jump locations."""
+def _parse_range(text: str) -> tuple[Fraction, Fraction]:
+    try:
+        lo, hi = map(Fraction, text.split(":"))
+    except (ValueError, ZeroDivisionError):
+        lo = hi = None
+    if lo is None or not lo < hi:
+        raise ValueError(f"--range must be lo:hi with rationals lo < hi, got {text!r}")
+    return lo, hi
+
+
+def _figure2_rows(lo: Fraction, hi: Fraction, depth: int, samples: int) -> list[dict]:
+    """Sampled v_depth on [lo, hi], then its exact jumps: every breakpoint
+    of the sweep, which is (c/2)*sqrt2 - d and belongs to its upper cell."""
     grid = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
-    values = [value_at(g, depth) for g in grid]
-    steps = [{"epsilon": str(g), "epsilon_decimal": f"{float(g):.6f}", "v": v}
-             for g, v in zip(grid, values)]
-    jumps = []
-
-    def locate(a: Fraction, b: Fraction, va: int, vb: int):
-        enclosure = bisect_jump(depth, vb, (a, b), tol_bits=90)
-        c, d = identify_halfint_sqrt2(enclosure)
-        xi = halfint(c, d)
-        v_at_xi = value_at(xi, depth)
-        v_below = value_at(xi - QSqrt2.of(Fraction(1, 1 << 80)), depth)
-        jumps.append({"c": c, "d": d, "epsilon_decimal": _decimal(xi),
-                      "v_below": v_below, "v_at": v_at_xi})
-        if v_below != va:
-            # more jumps below the identified one
-            mid = enclosure.lo
-            locate(a, mid, va, v_below)
-
-    for (a, b, va, vb) in zip(grid, grid[1:], values, values[1:]):
-        if va != vb:
-            locate(a, b, va, vb)
-    jumps.sort(key=lambda j: float(j["epsilon_decimal"]))
-    return steps, jumps
+    rows = [{"kind": "sample", "epsilon": str(g), "epsilon_decimal": f"{float(g):.6f}",
+             "v": value_at(g, depth)} for g in grid]
+    cells = sweep(QSqrt2.of(lo), QSqrt2.of(hi), depth)
+    for below, at in zip(cells, cells[1:]):
+        c, d = halfint_form(at.lo)
+        rows.append({"kind": "jump", "c": c, "d": d,
+                     "epsilon_decimal": at.lo.to_decimal(),
+                     "v_below": below.prefix[-1], "v_at": at.prefix[-1]})
+    return rows
 
 
-def cmd_plotdata(args) -> int:
-    started = time.time()
+def cmd_plotdata(args) -> dict | None:
     if args.figure == 1:
         rows = _figure1_rows()
         fieldnames = list(rows[0].keys())
     else:
-        lo_s, hi_s = (args.range or "0.40:0.60").split(":")
-        lo, hi = Fraction(lo_s), Fraction(hi_s)
-        steps, jumps = _figure2_jumps(lo, hi, args.depth, args.samples)
-        rows = [{"kind": "sample", **s} for s in steps] + \
-               [{"kind": "jump", **j} for j in jumps]
+        lo, hi = _parse_range(args.range)
+        if args.samples < 2:
+            raise ValueError(f"--samples must be at least 2, got {args.samples}")
+        rows = _figure2_rows(lo, hi, args.depth, args.samples)
         fieldnames = ["kind", "epsilon", "epsilon_decimal", "v", "c", "d",
                       "v_below", "v_at"]
     if args.csv:
@@ -251,36 +202,28 @@ def cmd_plotdata(args) -> int:
         w.writeheader()
         for r in rows:
             w.writerow(r)
-        return 0
-    rep = _report("plotdata", {"figure": args.figure},
-                  [{"name": f"figure {args.figure} rows", "pass": True,
-                    "witness": f"{len(rows)} rows"}], [], args.no_timing, started)
-    rep["rows"] = rows
-    _emit(rep)
-    return 0
+        return None
+    return {"inputs": {"figure": args.figure},
+            "results": [{"name": f"figure {args.figure} rows", "pass": True,
+                         "witness": f"{len(rows)} rows"}],
+            "rows": rows}
 
 
-def cmd_counterexample(args) -> int:
-    started = time.time()
+def cmd_counterexample(args) -> dict:
     eps = EpsilonInput(args.epsilon)
     if eps.exact is None:
-        print("counterexample scan requires an exact epsilon", file=sys.stderr)
-        return 1
+        raise ValueError("counterexample scan requires an exact epsilon")
     hit = first_bad_digit(eps.exact, args.limit)
     anomalies = []
     if hit is not None:
         anomalies.append({"index": hit[0], "digit": hit[1]})
-    rep = _report("counterexample",
-                  {"epsilon": eps.canonical(), "limit": args.limit},
-                  [{"name": "first bad digit", "pass": True,
-                    "witness": str(hit) if hit else "none"}],
-                  anomalies, args.no_timing, started)
-    _emit(rep)
-    return _exit_code(rep)
+    return {"inputs": {"epsilon": eps.canonical(), "limit": args.limit},
+            "results": [{"name": "first bad digit", "pass": True,
+                         "witness": str(hit) if hit else "none"}],
+            "anomalies": anomalies}
 
 
-def cmd_corollary(args) -> int:
-    started = time.time()
+def cmd_corollary(args) -> dict:
     rep_c = corollary_check(args.max_n, args.cap)
     results = [
         {"name": f"digit agreement for 31 <= n <= {args.max_n}",
@@ -288,29 +231,21 @@ def cmd_corollary(args) -> int:
         {"name": "shift identity 759250125*sqrt2 = 2^29 t6 + 314491699",
          "pass": rep_c.identity_ok, "witness": "exact in Q(sqrt2)"},
     ]
-    rep = _report("corollary", {"max_n": args.max_n}, results, [],
-                  args.no_timing, started)
-    _emit(rep)
-    return _exit_code(rep)
+    return {"inputs": {"max_n": args.max_n}, "results": results}
 
 
-def cmd_normality(args) -> int:
-    started = time.time()
+def cmd_normality(args) -> dict:
     r = normality_probe(args.multiplier, args.k)
     results = [{
         "name": f"fractional parts of {args.multiplier}*sqrt2*2^(k-{r.exponent_offset})",
         "pass": True,
-        "witness": f"min {_decimal(r.min_frac)} at k={r.argmin}; "
-                   f"max {_decimal(r.max_frac)} at k={r.argmax}",
+        "witness": f"min {r.min_frac.to_decimal()} at k={r.argmin}; "
+                   f"max {r.max_frac.to_decimal()} at k={r.argmax}",
     }]
-    rep = _report("normality", {"multiplier": args.multiplier, "k": args.k},
-                  results, [], args.no_timing, started)
-    _emit(rep)
-    return _exit_code(rep)
+    return {"inputs": {"multiplier": args.multiplier, "k": args.k}, "results": results}
 
 
-def cmd_sweep(args) -> int:
-    started = time.time()
+def cmd_sweep(args) -> dict | None:
     cells = sweep(DOMAIN_LO, DOMAIN_HI, args.depth, args.cell_budget)
     if args.csv:
         w = csv.writer(sys.stdout)
@@ -321,18 +256,14 @@ def cmd_sweep(args) -> int:
             hi_cd = halfint_form(c.hi) or ("", "")
             w.writerow([*lo_cd, *hi_cd, str(c.lo), str(c.hi),
                         " ".join(map(str, c.prefix))])
-        return 0
-    rep = _report("sweep", {"depth": args.depth},
-                  [{"name": "cells", "pass": True, "witness": str(len(cells))}],
-                  [], args.no_timing, started)
-    rep["cells"] = [{"lo": str(c.lo), "hi": str(c.hi),
-                     "prefix": list(c.prefix)} for c in cells]
-    _emit(rep)
-    return 0
+        return None
+    return {"inputs": {"depth": args.depth},
+            "results": [{"name": "cells", "pass": True, "witness": str(len(cells))}],
+            "cells": [{"lo": str(c.lo), "hi": str(c.hi), "prefix": list(c.prefix)}
+                      for c in cells]}
 
 
-def cmd_table(args) -> int:
-    started = time.time()
+def cmd_table(args) -> dict:
     recon = reconstruct_table(args.depth, args.digit_depth, args.l_bound)
     part = validate_partition(THEOREM_TABLE)
     results = [
@@ -343,17 +274,15 @@ def cmd_table(args) -> int:
          "witness": f"{len(recon.identified)} identified, "
                     f"{len(recon.unidentified)} unidentified region(s)"},
     ]
-    rep = _report("table", {"depth": args.depth, "digit_depth": args.digit_depth,
-                            "l_bound": args.l_bound},
-                  results, [], args.no_timing, started)
-    rep["regions"] = [
+    regions = [
         {"lo": str(r.lo), "hi": str(r.hi),
          "digits": list(r.digit_prefix),
          "target": (f"(({r.target.alpha}*sqrt2-{r.target.beta})/2^{r.target.l})"
                     if r.target else None)}
         for r in recon.regions]
-    _emit(rep)
-    return _exit_code(rep)
+    return {"inputs": {"depth": args.depth, "digit_depth": args.digit_depth,
+                       "l_bound": args.l_bound},
+            "results": results, "regions": regions}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pl = sub.add_parser("plotdata", help="figure data as JSON/CSV")
     pl.add_argument("--figure", type=int, choices=(1, 2), required=True)
-    pl.add_argument("--range", default=None, help="lo:hi, e.g. 0.40:0.60")
+    pl.add_argument("--range", default="0.40:0.60", help="lo:hi")
     pl.add_argument("--samples", type=int, default=41)
     pl.add_argument("--depth", type=int, default=62)
     pl.add_argument("--csv", action="store_true")
@@ -419,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        body = args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -430,6 +360,19 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if body is None:
+        return 0
+    rep = {"command": args.command, "inputs": body.pop("inputs"),
+           "results": body.pop("results"), "anomalies": body.pop("anomalies", []),
+           "version": __version__}
+    if not args.no_timing:
+        rep["timings"] = {"seconds": round(time.monotonic() - started, 3)}
+    rep.update(body)
+    json.dump(rep, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    if rep["anomalies"] or not all(r["pass"] for r in rep["results"]):
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

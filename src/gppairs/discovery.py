@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from .engine import SequenceSpec, digits_of_target, exact_step, generate
-from .exact import QSqrt2, floor_q, isqrt
+from .exact import QSqrt2, isqrt
 from .reals import RealInterval
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
@@ -56,23 +56,21 @@ def sweep(lo: QSqrt2, hi: QSqrt2, depth: int, cell_budget: int = 10**6) -> list[
     dependence.  A breakpoint belongs to its upper cell (half-open cells,
     floor jumps are right-continuous here).
     """
-    if depth < 2:
-        raise ValueError("depth must be >= 2")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     if not (lo - hi).sign() < 0:
         raise ValueError("empty sweep domain")
     cells: list[tuple[QSqrt2, QSqrt2, list[int]]] = [(lo, hi, [1])]
     for n in range(1, depth):
         if n % 2 == 0:
-            half = QSqrt2(Fraction(1, 2), Fraction(0))
             for cell in cells:
-                cell[2].append(exact_step(cell[2][-1], n, half))
+                cell[2].append(exact_step(cell[2][-1], n, cell[0]))
             continue
         new: list[tuple[QSqrt2, QSqrt2, list[int]]] = []
         for (clo, chi, prefix) in cells:
             v = prefix[-1]
             cur_lo = clo
-            # value at eps = clo: floor(sqrt2*(v+clo)) = floor(2*b + (v+a)*sqrt2)
-            cur_m = floor_q(QSqrt2(2 * clo.b, v + clo.a))
+            cur_m = exact_step(v, n, clo)
             while True:
                 split = QSqrt2(Fraction(-v), Fraction(cur_m + 1, 2))
                 if not (split - chi).sign() < 0:

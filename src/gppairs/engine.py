@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import QSqrt2, floor_q, floor_scaled_sqrt2, frac_q
-from .reals import RefinableReal, UndecidableError, certified_floor
+from .reals import RefinableReal, certified_floor
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
 HALF = Fraction(1, 2)
@@ -72,16 +72,13 @@ def generate(spec: SequenceSpec) -> SequenceTrace:
         for n in range(1, spec.depth):
             v = values[-1]
             start = max(64, v.bit_length() + 32)
-            try:
-                if n % 2 == 1:
-                    values.append(certified_floor(
-                        eps, addend=v, max_bits=spec.max_bits, start_bits=start))
-                else:
-                    values.append(certified_floor(
-                        None, exact_offset=half, addend=v,
-                        max_bits=spec.max_bits, start_bits=start))
-            except UndecidableError as exc:
-                raise UndecidableError(exc.max_bits, exc.lo, exc.hi) from None
+            if n % 2 == 1:
+                values.append(certified_floor(
+                    eps, addend=v, max_bits=spec.max_bits, start_bits=start))
+            else:
+                values.append(certified_floor(
+                    None, exact_offset=half, addend=v,
+                    max_bits=spec.max_bits, start_bits=start))
     return SequenceTrace(tuple(values), spec)
 
 

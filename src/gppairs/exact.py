@@ -11,8 +11,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-BigRat = Fraction
-
 _RatLike = int | Fraction
 
 
@@ -134,10 +132,6 @@ def _coerce(x: "QSqrt2 | int | Fraction") -> QSqrt2:
     return QSqrt2(Fraction(x), Fraction(0))
 
 
-def sign_q(x: QSqrt2) -> int:
-    return x.sign()
-
-
 def floor_rat_sqrt2(num: int, den: int) -> int:
     """floor((num/den) * sqrt2) for den > 0, via the integer square root."""
     if num >= 0:
@@ -147,23 +141,18 @@ def floor_rat_sqrt2(num: int, den: int) -> int:
 
 
 def floor_q(x: QSqrt2) -> int:
-    """Greatest integer <= x, certified by exact sign tests."""
+    """Greatest integer <= x, exactly."""
     a, b = x.a, x.b
     q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
     p = a.numerator * (q // a.denominator)
     r = b.numerator * (q // b.denominator)
-    # x = (p + r*sqrt2)/q; bracket r*sqrt2 by consecutive integers
+    # x = (p + r*sqrt2)/q with q > 0 and s = floor(r*sqrt2) (r*sqrt2 is
+    # irrational unless r = 0), so floor(x) = floor((p + s)/q) exactly
     if r >= 0:
         s = isqrt(2 * r * r)
     else:
         s = -isqrt(2 * r * r) - 1
-    n = (p + s) // q
-    # the estimate is off by at most 1; correct with exact sign tests
-    while _sign_rat_pair(a - n, b) < 0:
-        n -= 1
-    while _sign_rat_pair(a - (n + 1), b) >= 0:
-        n += 1
-    return n
+    return (p + s) // q
 
 
 def frac_q(x: QSqrt2) -> QSqrt2:

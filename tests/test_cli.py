@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+from fractions import Fraction
+
+import pytest
 
 from gppairs.cli import main
-from gppairs.table import THEOREM_TABLE
-from gppairs.discovery import halfint_form
+from gppairs.exact import QSqrt2
+from gppairs.table import THEOREM_TABLE, halfint
+from gppairs.discovery import halfint_form, value_at
 
 
 def run(capsys, *argv):
@@ -101,6 +105,45 @@ class TestPlotdata:
         assert (1296121037, 916495974) in jumps
         assert (309, 218) in jumps
         assert (79109, 55938) in jumps
+
+    def test_figure2_jumps_outside_domain(self, capsys):
+        # outside the theorem's domain, with c up to about 2^47; every jump
+        # is checked against direct generation, which does not use sweep
+        depth = 101
+        code, out, _ = run(capsys, "plotdata", "--figure", "2", "--csv",
+                           "--range", "0.1:0.2", "--depth", str(depth))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        samples = [int(r["v"]) for r in rows if r["kind"] == "sample"]
+        jumps = [r for r in rows if r["kind"] == "jump"]
+        assert len(jumps) == 13
+        below = QSqrt2.of(Fraction(1, 1 << 200))
+        for j in jumps:
+            xi = halfint(int(j["c"]), int(j["d"]))
+            assert value_at(xi, depth) == int(j["v_at"])
+            assert value_at(xi - below, depth) == int(j["v_below"])
+        # consecutive jumps chain up, so none is missing in between
+        assert int(jumps[0]["v_below"]) == samples[0]
+        assert int(jumps[-1]["v_at"]) == samples[-1]
+        for a, b in zip(jumps, jumps[1:]):
+            assert int(a["v_at"]) == int(b["v_below"])
+
+    @pytest.mark.parametrize("argv", [
+        ("--range", "abc"),
+        ("--range", ""),
+        ("--range", "0.4:0.4"),
+        ("--range", "0.6:0.4"),
+        ("--range", "0.4:0.5:0.6"),
+        ("--range", "1/0:1"),
+        ("--samples", "1"),
+        ("--samples", "0"),
+        ("--depth", "0"),
+    ])
+    def test_figure2_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, "plotdata", "--figure", "2", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestMisc:

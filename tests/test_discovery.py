@@ -64,11 +64,12 @@ class TestSweep:
 
     def test_prefix_matches_direct_generation(self):
         tiny = QSqrt2.of(Fraction(1, 1 << 80))
-        for cell in sweep(DOMAIN_LO, DOMAIN_HI, 21):
-            n = len(cell.prefix)
-            for eps in (cell.lo, cell.midpoint, cell.hi - tiny):
-                tr = generate(SequenceSpec(eps, depth=n))
-                assert tr.values == cell.prefix
+        for depth in (1, 21):
+            for cell in sweep(DOMAIN_LO, DOMAIN_HI, depth):
+                assert len(cell.prefix) == depth
+                for eps in (cell.lo, cell.midpoint, cell.hi - tiny):
+                    tr = generate(SequenceSpec(eps, depth=depth))
+                    assert tr.values == cell.prefix
 
     def test_budget_error(self):
         with pytest.raises(SweepBudgetError):
