@@ -27,6 +27,7 @@ from .engine import (
     verify_pair,
 )
 from .discovery import (
+    SweepBudgetError,
     bisect_jump,
     halfint_form,
     identify_halfint_sqrt2,
@@ -67,7 +68,14 @@ class EpsilonInput:
 # "anomalies" and any extra keys, or None once it has written CSV.  `main`
 # adds the common keys, prints the JSON and picks the exit status.
 
+def _check_bits(flag: str, bits: int) -> None:
+    # the constants pi and e are enclosed at no fewer than 8 bits
+    if bits < 8:
+        raise ValueError(f"{flag} must be at least 8, got {bits}")
+
+
 def cmd_digits(args) -> dict:
+    _check_bits("--max-bits", args.max_bits)
     eps = EpsilonInput(args.epsilon)
     spec = SequenceSpec(eps.value, depth=2 * args.count + 1, max_bits=args.max_bits)
     trace = generate(spec)
@@ -224,6 +232,7 @@ def cmd_counterexample(args) -> dict:
 
 
 def cmd_corollary(args) -> dict:
+    _check_bits("--cap", args.cap)
     rep_c = corollary_check(args.max_n, args.cap)
     results = [
         {"name": f"digit agreement for 31 <= n <= {args.max_n}",
@@ -355,9 +364,10 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except UndecidableError as exc:
-        print(f"undecidable: {exc}", file=sys.stderr)
+        flag = "--cap" if args.command == "corollary" else "--max-bits"
+        print(f"undecidable: {exc}; try a larger {flag}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, SweepBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if body is None:

@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QSqrt2, floor_q, floor_scaled_sqrt2, frac_q
-from .reals import RefinableReal, certified_floor
+from .exact import QSqrt2, floor_q, floor_rat_sqrt2, floor_scaled_sqrt2, frac_q
+from .reals import RefinableReal, UndecidableError, certified_floor
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
 HALF = Fraction(1, 2)
@@ -68,17 +68,21 @@ def generate(spec: SequenceSpec) -> SequenceTrace:
         for n in range(1, spec.depth):
             values.append(exact_step(values[-1], n, eps))
     else:
-        half = QSqrt2(HALF, Fraction(0))
         for n in range(1, spec.depth):
             v = values[-1]
-            start = max(64, v.bit_length() + 32)
-            if n % 2 == 1:
+            if n % 2 == 0:
+                # floor(sqrt2*(v + 1/2)) needs no enclosure
+                values.append(floor_rat_sqrt2(2 * v + 1, 2))
+                continue
+            # at least v.bit_length() + 32 bits, rounded up to a power of two
+            # so that eps is refined O(log depth) times, not once per step
+            start = 1 << max(6, (v.bit_length() + 31).bit_length())
+            try:
                 values.append(certified_floor(
                     eps, addend=v, max_bits=spec.max_bits, start_bits=start))
-            else:
-                values.append(certified_floor(
-                    None, exact_offset=half, addend=v,
-                    max_bits=spec.max_bits, start_bits=start))
+            except UndecidableError as exc:
+                exc.step = n
+                raise
     return SequenceTrace(tuple(values), spec)
 
 

@@ -7,7 +7,6 @@ enclosure until the integer part is decided.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,13 +22,21 @@ class UndecidableError(ArithmeticError):
     """A certified floor could not be decided within the bit budget.
 
     Signals either an insufficient budget or a genuinely integral value;
-    callers must not guess."""
+    callers must not guess.  `max_bits` is the precision reached, `[lo, hi]`
+    the last enclosure, and `step` the recurrence step when raised by a trace.
+    """
 
-    def __init__(self, max_bits: int, lo: Fraction, hi: Fraction):
-        super().__init__(f"floor undecided at {max_bits} bits: [{lo}, {hi}]")
+    def __init__(self, max_bits: int, lo: Fraction, hi: Fraction,
+                 step: int | None = None):
+        super().__init__(max_bits, lo, hi, step)
         self.max_bits = max_bits
         self.lo = lo
         self.hi = hi
+        self.step = step
+
+    def __str__(self):
+        at = "" if self.step is None else f" at step {self.step}"
+        return f"floor undecided{at} at {self.max_bits} bits"
 
 
 @dataclass(frozen=True)
@@ -362,29 +369,26 @@ def exact_value(node: Expr) -> QSqrt2 | None:
 class RefinableReal:
     """A real given by an expression tree, refinable to any bit width.
 
-    The cache only grows; refinement is serialized by an internal lock, and
-    every new enclosure is intersected with the cached one so successive
-    refinements are nested.
+    The cache only grows, and every new enclosure is intersected with the
+    cached one so successive refinements are nested.
     """
 
     def __init__(self, expression: Expr | str):
         if isinstance(expression, str):
             expression = parse_expr(expression)
         self.expression = expression
-        self._lock = threading.Lock()
         self._cached: RealInterval | None = None
 
     def refine(self, bits: int) -> RealInterval:
-        with self._lock:
-            if self._cached is not None and self._cached.bits >= bits:
-                return self._cached
-            iv = eval_expr(self.expression, bits).dyadic_rounded(bits + 4)
+        if self._cached is not None and self._cached.bits >= bits:
+            return self._cached
+        iv = eval_expr(self.expression, bits).dyadic_rounded(bits + 4)
+        iv = RealInterval(iv.lo, iv.hi, bits)
+        if self._cached is not None:
+            iv = self._cached.intersect(iv)
             iv = RealInterval(iv.lo, iv.hi, bits)
-            if self._cached is not None:
-                iv = self._cached.intersect(iv)
-                iv = RealInterval(iv.lo, iv.hi, bits)
-            self._cached = iv
-            return iv
+        self._cached = iv
+        return iv
 
     def __repr__(self):
         return f"RefinableReal({format_expr(self.expression)})"
@@ -401,10 +405,10 @@ def certified_floor(
 
     Doubles the working precision from `start_bits` until both endpoints of
     the enclosure share the same integer part; raises UndecidableError at
-    the cap.  The exact Q(sqrt2) part is folded in without interval error:
-    sqrt2*(n + a + b*sqrt2) = 2b + (n + a)*sqrt2.
+    `max_bits`, which no attempt exceeds.  The exact Q(sqrt2) part is folded
+    in without interval error: sqrt2*(n + a + b*sqrt2) = 2b + (n + a)*sqrt2.
     """
-    bits = start_bits
+    bits = min(start_bits, max_bits)
     shift = QSqrt2.of(addend) + exact_offset
     while True:
         s2 = const_sqrt2(bits)

@@ -53,6 +53,14 @@ class TestDigits:
         assert code == 0
         assert rep["results"][0]["witness"] == "1 0 1 1 0 1 0 1 0 0"
 
+    def test_max_bits_is_a_cap(self, capsys):
+        code, out, err = run(capsys, "digits", "--epsilon", "1-pi^2/e^3",
+                             "--count", "40", "--max-bits", "16")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "step 27" in err and "16 bits" in err and "--max-bits" in err
+
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "digits", "--epsilon", "1/2", "--count", "20")
         _, out2, _ = run(capsys, "digits", "--epsilon", "1/2", "--count", "20")
@@ -144,6 +152,21 @@ class TestPlotdata:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("sweep", "--cell-budget", "3"), "cell budget 3"),
+    (("digits", "--epsilon", "1/2", "--count", "4", "--max-bits", "7"), "--max-bits"),
+    (("digits", "--epsilon", "1-pi^2/e^3", "--count", "4", "--max-bits", "0"),
+     "--max-bits"),
+    (("corollary", "--cap", "4"), "--cap"),
+])
+def test_bad_input(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 class TestMisc:

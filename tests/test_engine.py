@@ -20,7 +20,8 @@ from gppairs.engine import (
     verify_pair,
 )
 from gppairs.exact import QSqrt2, floor_scaled_sqrt2
-from gppairs.reals import RefinableReal
+from gppairs import reals
+from gppairs.reals import RefinableReal, UndecidableError
 from gppairs.table import THEOREM_TABLE, entry
 
 eps_values = st.fractions(min_value=Fraction(2929, 10000),
@@ -40,9 +41,39 @@ class TestGenerate:
         assert a.values == b.values
 
     def test_interval_epsilon_matches_exact(self):
-        exact = generate(SequenceSpec(Fraction(1, 3), depth=30)).values
-        interval = generate(SequenceSpec(RefinableReal("1/3"), depth=30)).values
+        # deep enough that the certified floors run at 64 to 1024 bits
+        exact = generate(SequenceSpec(Fraction(1, 3), depth=1001)).values
+        interval = generate(SequenceSpec(RefinableReal("1/3"), depth=1001)).values
         assert exact == interval
+
+    def test_refinements_grow_geometrically(self, monkeypatch):
+        calls = []
+        const_pi = reals.const_pi
+
+        def counting_pi(bits):
+            calls.append(bits)
+            return const_pi(bits)
+
+        monkeypatch.setattr(reals, "const_pi", counting_pi)
+        generate(SequenceSpec(RefinableReal("1-pi^2/e^3"), depth=1001))
+        # 64, 128, 256, 512, 1024 bits: once per precision, not once per step
+        assert len(calls) <= 6
+
+    def test_max_bits_caps_refinement(self, monkeypatch):
+        asked = []
+        refine = RefinableReal.refine
+
+        def recording_refine(self, bits):
+            asked.append(bits)
+            return refine(self, bits)
+
+        monkeypatch.setattr(RefinableReal, "refine", recording_refine)
+        spec = SequenceSpec(RefinableReal("1-pi^2/e^3"), depth=81, max_bits=16)
+        with pytest.raises(UndecidableError) as info:
+            generate(spec)
+        assert asked and max(asked) <= 16
+        assert info.value.max_bits == 16
+        assert info.value.step is not None and info.value.step % 2 == 1
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
