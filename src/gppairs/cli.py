@@ -294,9 +294,17 @@ def cmd_table(args) -> dict:
             "results": results, "regions": regions}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 with one `error:` line, like every other bad
+    input; argparse's own status 2 is the CLI's "anomaly found"."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gppairs",
-                                description=__doc__.splitlines()[0])
+    p = _Parser(prog="gppairs",
+                description=__doc__.splitlines()[0])
     p.add_argument("--no-timing", action="store_true",
                    help="omit timings for byte-identical reruns")
     sub = p.add_subparsers(dest="command", required=True)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 from .engine import SequenceSpec, digits_of_target, exact_step, generate
-from .exact import QSqrt2, isqrt
+from .exact import QSqrt2, integer_form, isqrt
 from .reals import RealInterval
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
@@ -64,13 +64,13 @@ def sweep(lo: QSqrt2, hi: QSqrt2, depth: int, cell_budget: int = 10**6) -> list[
     for n in range(1, depth):
         if n % 2 == 0:
             for cell in cells:
-                cell[2].append(exact_step(cell[2][-1], n, cell[0]))
+                cell[2].append(exact_step(cell[2][-1], n, None))
             continue
         new: list[tuple[QSqrt2, QSqrt2, list[int]]] = []
         for (clo, chi, prefix) in cells:
             v = prefix[-1]
             cur_lo = clo
-            cur_m = exact_step(v, n, clo)
+            cur_m = exact_step(v, n, integer_form(clo))
             while True:
                 split = QSqrt2(Fraction(-v), Fraction(cur_m + 1, 2))
                 if not (split - chi).sign() < 0:

@@ -11,7 +11,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QSqrt2, floor_q, floor_rat_sqrt2, floor_scaled_sqrt2, frac_q
+from .exact import (QSqrt2, floor_q, floor_rat_sqrt2, floor_scaled_sqrt2, frac_q,
+                    integer_form)
 from .reals import RefinableReal, UndecidableError, certified_floor
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
@@ -53,11 +54,16 @@ class SequenceTrace:
         return self.values[n - 1]
 
 
-def exact_step(v: int, n: int, eps: QSqrt2) -> int:
-    """One recurrence step with exact epsilon."""
-    off_a, off_b = (eps.a, eps.b) if n % 2 == 1 else (HALF, Fraction(0))
-    # sqrt2*(v + a + b*sqrt2) = 2b + (v + a)*sqrt2
-    return floor_q(QSqrt2(2 * off_b, v + off_a))
+def exact_step(v: int, n: int, form: tuple[int, int, int] | None) -> int:
+    """One recurrence step with exact epsilon; `form` is integer_form(eps),
+    unused (and may be None) on even steps."""
+    if n % 2 == 0:
+        # sqrt2*(v + 1/2) = (2v + 1)*sqrt2/2
+        return floor_rat_sqrt2(2 * v + 1, 2)
+    p, r, q = form
+    # sqrt2*(v + (p + r*sqrt2)/q) = ((q*v + p)*sqrt2 + 2r)/q with 2r an
+    # integer and q > 0, so the inner floor loses nothing
+    return (floor_rat_sqrt2(q * v + p, 1) + 2 * r) // q
 
 
 def generate(spec: SequenceSpec) -> SequenceTrace:
@@ -65,8 +71,9 @@ def generate(spec: SequenceSpec) -> SequenceTrace:
     eps = spec.epsilon
     values = [spec.initial]
     if isinstance(eps, QSqrt2):
+        form = integer_form(eps)
         for n in range(1, spec.depth):
-            values.append(exact_step(values[-1], n, eps))
+            values.append(exact_step(values[-1], n, form))
     else:
         for n in range(1, spec.depth):
             v = values[-1]
@@ -117,15 +124,11 @@ def digits_of_target(t: AlgebraicTarget | QSqrt2, count: int) -> DigitStream:
     x = t.value() if isinstance(t, AlgebraicTarget) else t
     if x.sign() < 0 or (x - 2).sign() >= 0:
         raise ValueError(f"target {x} outside [0, 2)")
-    out = []
-    prev = floor_q(QSqrt2(x.a / 2, x.b / 2))
-    scale = 1
-    for _ in range(count):
-        cur = floor_q(QSqrt2(x.a * scale, x.b * scale))
-        out.append(cur - 2 * prev)
-        prev = cur
-        scale *= 2
-    return DigitStream(tuple(out), source="target")
+    # floor(floor(y)/2^j) = floor(y/2^j), so floor(t 2^{n-1}) = F >> (count-n)
+    # with F = floor(t 2^{count-1}), and d_n is bit count-n of F
+    f = floor_q(x * Fraction(2) ** (count - 1))
+    return DigitStream(tuple((f >> (count - n)) & 1 for n in range(1, count + 1)),
+                       source="target")
 
 
 @dataclass(frozen=True)
@@ -383,11 +386,12 @@ def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
     eps = _as_eps(epsilon)
     if not isinstance(eps, QSqrt2):
         raise TypeError("first_bad_digit requires an exact epsilon")
+    form = integer_form(eps)
     v = 1
     prev_odd = 1
     n = 1
     while True:
-        v = exact_step(v, n, eps)
+        v = exact_step(v, n, form)
         n += 1
         if n % 2 == 1:
             m = (n - 1) // 2

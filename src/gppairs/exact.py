@@ -135,24 +135,24 @@ def _coerce(x: "QSqrt2 | int | Fraction") -> QSqrt2:
 def floor_rat_sqrt2(num: int, den: int) -> int:
     """floor((num/den) * sqrt2) for den > 0, via the integer square root."""
     if num >= 0:
-        return isqrt(2 * num * num) // den
+        return math.isqrt(2 * num * num) // den
     # sqrt2*num is irrational for num != 0, so floor(-x) = -floor(x)-1
-    return -(isqrt(2 * num * num) // den) - 1
+    return -(math.isqrt(2 * num * num) // den) - 1
+
+
+def integer_form(x: QSqrt2) -> tuple[int, int, int]:
+    """Integers (p, r, q) with x = (p + r*sqrt2)/q and q > 0."""
+    a, b = x.a, x.b
+    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return a.numerator * (q // a.denominator), b.numerator * (q // b.denominator), q
 
 
 def floor_q(x: QSqrt2) -> int:
     """Greatest integer <= x, exactly."""
-    a, b = x.a, x.b
-    q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    p = a.numerator * (q // a.denominator)
-    r = b.numerator * (q // b.denominator)
-    # x = (p + r*sqrt2)/q with q > 0 and s = floor(r*sqrt2) (r*sqrt2 is
-    # irrational unless r = 0), so floor(x) = floor((p + s)/q) exactly
-    if r >= 0:
-        s = isqrt(2 * r * r)
-    else:
-        s = -isqrt(2 * r * r) - 1
-    return (p + s) // q
+    p, r, q = integer_form(x)
+    # q > 0 and p is an integer, so floor((p + r*sqrt2)/q) is
+    # floor((p + floor(r*sqrt2))/q) exactly
+    return (p + floor_rat_sqrt2(r, 1)) // q
 
 
 def frac_q(x: QSqrt2) -> QSqrt2:

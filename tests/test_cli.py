@@ -169,6 +169,33 @@ def test_bad_input(capsys, argv, named):
     assert named in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("digits", "--epsilon", "1/2", "--count", "x"),
+    ("digits", "--epsilon", "1/2"),
+    ("digits", "--epsilon", "1/2", "--count", "3", "--bogus"),
+    ("corollary", "--max-bits", "9"),
+    ("frobnicate",),
+    (),
+    ("plotdata", "--figure", "3"),
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own status would be 2, which means "anomaly found" here
+    with pytest.raises(SystemExit) as info:
+        main(["--no-timing", *argv])
+    out = capsys.readouterr()
+    assert info.value.code == 1
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("digits", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gppairs")
+
+
 class TestMisc:
     def test_counterexample(self, capsys):
         code, rep = run_json(capsys, "counterexample", "--epsilon", "0.7073")

@@ -3,15 +3,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gppairs.engine import (
+    DELTA,
+    HALF,
     SequenceSpec,
     certify_pair,
     closed_form_check,
     digits_from_trace,
     digits_of_target,
+    exact_step,
     first_bad_digit,
     generate,
     lemma_checks,
@@ -19,7 +22,7 @@ from gppairs.engine import (
     normality_probe,
     verify_pair,
 )
-from gppairs.exact import QSqrt2, floor_scaled_sqrt2
+from gppairs.exact import QSqrt2, floor_q, floor_scaled_sqrt2, integer_form
 from gppairs import reals
 from gppairs.reals import RefinableReal, UndecidableError
 from gppairs.table import THEOREM_TABLE, entry
@@ -27,6 +30,23 @@ from gppairs.table import THEOREM_TABLE, entry
 eps_values = st.fractions(min_value=Fraction(2929, 10000),
                           max_value=Fraction(7071, 10000),
                           max_denominator=10**6)
+# mixed signs and large denominators: the kernel must not assume eps in the domain
+big_fractions = st.fractions(min_value=-10**6, max_value=10**6,
+                             max_denominator=10**30)
+
+
+def floor_q_step(v: int, n: int, eps: QSqrt2) -> int:
+    """The step by its definition: floor(sqrt2*(v + off)) = floor(2b + (v+a)*sqrt2)
+    with off = eps = a + b*sqrt2 on odd steps and 1/2 on even ones."""
+    off = eps if n % 2 == 1 else QSqrt2.of(HALF)
+    return floor_q(QSqrt2(2 * off.b, v + off.a))
+
+
+def floor_q_trace(eps: QSqrt2, depth: int) -> tuple[int, ...]:
+    values = [1]
+    for n in range(1, depth):
+        values.append(floor_q_step(values[-1], n, eps))
+    return tuple(values)
 
 
 class TestGenerate:
@@ -88,6 +108,40 @@ class TestGenerate:
             assert 2 * tr[n] - 2 <= tr[n + 2] <= 2 * tr[n] + 3
 
 
+class TestExactStep:
+    @given(big_fractions, big_fractions, st.integers(-10**40, 10**40),
+           st.integers(1, 2))
+    @settings(max_examples=300, deadline=None)
+    # eps = 3 + sqrt2/7 is (21 + sqrt2)/7, so v = -3 makes q*v + p zero
+    @example(Fraction(3), Fraction(1, 7), -3, 1)
+    @example(Fraction(3), Fraction(1, 7), -4, 1)
+    @example(Fraction(-1, 3), Fraction(0), 0, 1)
+    @example(Fraction(0), Fraction(0), 0, 2)
+    @example(Fraction(0), Fraction(0), -1, 2)
+    def test_matches_floor_q_definition(self, a, b, v, n):
+        eps = QSqrt2(a, b)
+        assert exact_step(v, n, integer_form(eps)) == floor_q_step(v, n, eps)
+
+    @given(big_fractions, big_fractions)
+    @settings(max_examples=200, deadline=None)
+    def test_integer_form(self, a, b):
+        p, r, q = integer_form(QSqrt2(a, b))
+        assert q > 0
+        assert (Fraction(p, q), Fraction(r, q)) == (a, b)
+
+    def test_generate_matches_floor_q_on_row_points(self):
+        for pair in THEOREM_TABLE:
+            for eps in (pair.xi1, pair.midpoint, pair.xi2 - QSqrt2.of(DELTA)):
+                assert generate(SequenceSpec(eps, depth=4001)).values == \
+                    floor_q_trace(eps, 4001), (pair.index, str(eps))
+
+
+def digits_by_definition(t: QSqrt2, count: int) -> tuple[int, ...]:
+    """d_n = floor(t 2^{n-1}) - 2 floor(t 2^{n-2}), one pair of floors per digit."""
+    return tuple(floor_q(t * Fraction(2) ** (n - 1)) - 2 * floor_q(t * Fraction(2) ** (n - 2))
+                 for n in range(1, count + 1))
+
+
 class TestDigits:
     def test_sqrt2_digits_from_half(self):
         tr = generate(SequenceSpec(Fraction(1, 2), depth=21))
@@ -109,8 +163,23 @@ class TestDigits:
                 digits_of_target(pair.target, 20).digits
 
     def test_target_domain_check(self):
-        with pytest.raises(ValueError):
-            digits_of_target(QSqrt2.of(2), 5)
+        for t in (QSqrt2.of(2), QSqrt2.of(1, 1), QSqrt2.of(Fraction(-1, 10**9)),
+                  QSqrt2.of(0, -1), QSqrt2.of(-2, 1), QSqrt2.of(3, Fraction(-1, 10**6))):
+            for count in (0, 5, 64):
+                with pytest.raises(ValueError):
+                    digits_of_target(t, count)
+
+    @pytest.mark.parametrize("t", [
+        QSqrt2.of(0), QSqrt2.sqrt2(),
+        *(pair.target.value() for pair in THEOREM_TABLE),
+        # a and b of opposite signs
+        QSqrt2.of(3, -1), QSqrt2.of(-1, 1), QSqrt2.of(Fraction(-1, 3), 1),
+        QSqrt2.of(Fraction(7, 5), Fraction(-1, 10**12)),
+    ], ids=str)
+    def test_target_digits_match_definition(self, t):
+        want = digits_by_definition(t, 2000)
+        for count in (0, 1, 2, 63, 64, 65, 2000):
+            assert digits_of_target(t, count).digits == want[:count], count
 
     def test_anomaly_detection(self):
         tr = generate(SequenceSpec(Fraction(2928, 10000), depth=2 * 3067 + 1))
