@@ -7,7 +7,7 @@ d_n = v_{2n+1} - 2 v_{2n-1}, verifies and certifies the eight known
 scratch by exact sweeping, bisection, and integer-relation identification.
 """
 
-from .exact import QSqrt2, floor_q, floor_scaled_sqrt2, frac_q, isqrt
+from .exact import QSqrt2, floor_q, frac_q, isqrt
 from .engine import (
     DigitStream,
     SequenceSpec,
@@ -38,7 +38,7 @@ from .table import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, AlgebraicTarget, GPPairE
 __version__ = "0.1.0"
 
 __all__ = [
-    "QSqrt2", "floor_q", "floor_scaled_sqrt2", "frac_q", "isqrt",
+    "QSqrt2", "floor_q", "frac_q", "isqrt",
     "DigitStream", "SequenceSpec", "SequenceTrace", "certify_pair",
     "closed_form_check", "corollary_check", "digits_from_trace",
     "digits_of_target", "first_bad_digit", "generate", "lemma_checks",

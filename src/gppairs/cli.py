@@ -68,14 +68,7 @@ class EpsilonInput:
 # "anomalies" and any extra keys, or None once it has written CSV.  `main`
 # adds the common keys, prints the JSON and picks the exit status.
 
-def _check_bits(flag: str, bits: int) -> None:
-    # the constants pi and e are enclosed at no fewer than 8 bits
-    if bits < 8:
-        raise ValueError(f"{flag} must be at least 8, got {bits}")
-
-
 def cmd_digits(args) -> dict:
-    _check_bits("--max-bits", args.max_bits)
     eps = EpsilonInput(args.epsilon)
     spec = SequenceSpec(eps.value, depth=2 * args.count + 1, max_bits=args.max_bits)
     trace = generate(spec)
@@ -232,8 +225,7 @@ def cmd_counterexample(args) -> dict:
 
 
 def cmd_corollary(args) -> dict:
-    _check_bits("--cap", args.cap)
-    rep_c = corollary_check(args.max_n, args.cap)
+    rep_c = corollary_check(args.max_n, args.max_bits)
     results = [
         {"name": f"digit agreement for 31 <= n <= {args.max_n}",
          "pass": rep_c.agree_from_31, "witness": f"onset {rep_c.onset}"},
@@ -302,6 +294,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low, so a bad value names its flag."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
+
+
+# the constants pi and e are enclosed at no fewer than 8 bits
+_MAX_BITS = _at_least(8)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="gppairs",
                 description=__doc__.splitlines()[0])
@@ -311,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("digits", help="digit stream for an epsilon")
     d.add_argument("--epsilon", required=True)
-    d.add_argument("--count", type=int, required=True)
-    d.add_argument("--max-bits", type=int, default=4096)
+    d.add_argument("--count", type=_at_least(0), required=True)
+    d.add_argument("--max-bits", type=_MAX_BITS, default=4096)
     d.set_defaults(func=cmd_digits)
 
     v = sub.add_parser("verify", help="verify/certify theorem rows")
-    v.add_argument("--pair", default="all")
-    v.add_argument("--depth", type=int, default=200)
+    v.add_argument("--pair", choices=["all", *map(str, range(1, 9))], default="all")
+    v.add_argument("--depth", type=_at_least(1), default=200)
     v.set_defaults(func=cmd_verify)
 
     di = sub.add_parser("discover", help="recover a row's left endpoint")
@@ -340,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     co = sub.add_parser("corollary", help="check the 1-pi^2/e^3 recurrence")
     co.add_argument("--max-n", type=int, default=150)
-    co.add_argument("--cap", type=int, default=4096)
+    co.add_argument("--max-bits", "--cap", type=_MAX_BITS, default=4096)
     co.set_defaults(func=cmd_corollary)
 
     no = sub.add_parser("normality", help="fractional part extremes")
@@ -372,8 +381,7 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
     except UndecidableError as exc:
-        flag = "--cap" if args.command == "corollary" else "--max-bits"
-        print(f"undecidable: {exc}; try a larger {flag}", file=sys.stderr)
+        print(f"undecidable: {exc}; try a larger --max-bits", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError, SweepBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

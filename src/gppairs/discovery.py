@@ -9,8 +9,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .engine import SequenceSpec, digits_of_target, exact_step, generate
-from .exact import QSqrt2, integer_form, isqrt
+from .engine import (SequenceSpec, SequenceTrace, digits_from_trace, digits_of_target,
+                     exact_step, generate)
+from .exact import QSqrt2, floor_rat_sqrt2, integer_form, isqrt
 from .reals import RealInterval
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
@@ -188,7 +189,7 @@ def identify_halfint_sqrt2(x: RealInterval, bound: int = 1 << 34) -> tuple[int, 
         if sb < 16:
             continue
         s = 1 << sb
-        t_scaled = isqrt(2 * s * s) // 2
+        t_scaled = floor_rat_sqrt2(s, 2)
         x_scaled = mid.numerator * s // mid.denominator
         rows = lll_reduce([[1, 0, 0, t_scaled], [0, 1, 0, s], [0, 0, 1, x_scaled]])
         for row in sorted(rows, key=lambda r: sum(v * v for v in r)):
@@ -351,7 +352,7 @@ def validate_partition(entries) -> PartitionReport:
     """Adjacent, disjoint, and covering [1-sqrt2/2, sqrt2/2), exactly."""
     problems = []
     es = list(entries)
-    es.sort(key=_sort_key_xi1())
+    es.sort(key=lambda e: e.xi1)
     if (es[0].xi1 - DOMAIN_LO).sign() != 0:
         problems.append(f"first interval starts at {es[0].xi1}, not 1-sqrt2/2")
     if (es[-1].xi2 - DOMAIN_HI).sign() != 0:
@@ -366,15 +367,6 @@ def validate_partition(entries) -> PartitionReport:
         if not (e.xi1 - e.xi2).sign() < 0:
             problems.append(f"row {e.index} has xi1 >= xi2")
     return PartitionReport(not problems, tuple(problems))
-
-
-def _sort_key_xi1():
-    import functools
-
-    def cmp(a, b):
-        return (a.xi1 - b.xi1).sign()
-
-    return functools.cmp_to_key(cmp)
 
 
 @dataclass(frozen=True)
@@ -420,14 +412,9 @@ def reconstruct_table(depth: int, digit_depth: int, l_bound: int,
     if depth < 2 * digit_depth + 1:
         raise ValueError("depth must be >= 2*digit_depth + 1")
     cells = sweep(DOMAIN_LO, DOMAIN_HI, depth, cell_budget)
-
-    def prefix_digits(cell: SweepCell) -> tuple[int, ...]:
-        p = cell.prefix
-        return tuple(p[2 * n] - 2 * p[2 * n - 2] for n in range(1, digit_depth + 1))
-
     regions: list[tuple[QSqrt2, QSqrt2, tuple[int, ...]]] = []
     for cell in cells:
-        dp = prefix_digits(cell)
+        dp = digits_from_trace(SequenceTrace(cell.prefix), digit_depth).digits
         if regions and regions[-1][2] == dp:
             regions[-1] = (regions[-1][0], cell.hi, dp)
         else:

@@ -11,8 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import (QSqrt2, floor_q, floor_rat_sqrt2, floor_scaled_sqrt2, frac_q,
-                    integer_form)
+from .exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from .reals import RefinableReal, UndecidableError, certified_floor
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
@@ -33,24 +32,20 @@ class SequenceSpec:
 
     epsilon: QSqrt2 | RefinableReal
     depth: int
-    initial: int = 1
     max_bits: int = 4096
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", _as_eps(self.epsilon))
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        if self.initial < 1:
-            raise ValueError("initial must be >= 1")
 
 
 @dataclass(frozen=True)
 class SequenceTrace:
     values: tuple[int, ...]
-    spec: SequenceSpec
 
     def v(self, n: int) -> int:
-        """1-based access: v(1) is the initial value."""
+        """1-based access: v(1) = 1 is the first value."""
         return self.values[n - 1]
 
 
@@ -69,28 +64,23 @@ def exact_step(v: int, n: int, form: tuple[int, int, int] | None) -> int:
 def generate(spec: SequenceSpec) -> SequenceTrace:
     """Exact trace v_1..v_depth; interval epsilons get certified floors."""
     eps = spec.epsilon
-    values = [spec.initial]
-    if isinstance(eps, QSqrt2):
-        form = integer_form(eps)
-        for n in range(1, spec.depth):
-            values.append(exact_step(values[-1], n, form))
-    else:
-        for n in range(1, spec.depth):
-            v = values[-1]
-            if n % 2 == 0:
-                # floor(sqrt2*(v + 1/2)) needs no enclosure
-                values.append(floor_rat_sqrt2(2 * v + 1, 2))
-                continue
-            # at least v.bit_length() + 32 bits, rounded up to a power of two
-            # so that eps is refined O(log depth) times, not once per step
-            start = 1 << max(6, (v.bit_length() + 31).bit_length())
-            try:
-                values.append(certified_floor(
-                    eps, addend=v, max_bits=spec.max_bits, start_bits=start))
-            except UndecidableError as exc:
-                exc.step = n
-                raise
-    return SequenceTrace(tuple(values), spec)
+    form = integer_form(eps) if isinstance(eps, QSqrt2) else None
+    values = [1]
+    for n in range(1, spec.depth):
+        v = values[-1]
+        if form is not None or n % 2 == 0:
+            values.append(exact_step(v, n, form))
+            continue
+        # at least v.bit_length() + 32 bits, rounded up to a power of two
+        # so that eps is refined O(log depth) times, not once per step
+        start = 1 << max(6, (v.bit_length() + 31).bit_length())
+        try:
+            values.append(certified_floor(
+                eps, addend=v, max_bits=spec.max_bits, start_bits=start))
+        except UndecidableError as exc:
+            exc.step = n
+            raise
+    return SequenceTrace(tuple(values))
 
 
 @dataclass(frozen=True)
@@ -176,13 +166,14 @@ class Certificate:
 
 def _comp_value(target: AlgebraicTarget) -> int:
     """floor(alpha*sqrt2) + 2*alpha, the required v_{2(l+2)} value."""
-    return floor_scaled_sqrt2(target.alpha, 0) + 2 * target.alpha
+    return floor_rat_sqrt2(target.alpha, 1) + 2 * target.alpha
 
 
-def _odd_form_value(t: QSqrt2, k: int) -> int:
-    # floor(t*2^{k-1}) + 2^k, exact for any k >= 0
-    s = Fraction(1 << (k - 1)) if k >= 1 else Fraction(1, 2)
-    return floor_q(QSqrt2(t.a * s, t.b * s)) + (1 << k)
+def _dyadic_floors(t: QSqrt2, top: int):
+    """j -> floor(t*2^j) for every j <= top (top >= 0), from one floor_q:
+    floor(floor(y)/2^i) = floor(y/2^i)."""
+    f = floor_q(t * (1 << top))
+    return lambda j: f >> (top - j)
 
 
 def certify_pair(pair: GPPairEntry, delta: Fraction = DELTA) -> Certificate:
@@ -207,48 +198,44 @@ def certify_pair(pair: GPPairEntry, delta: Fraction = DELTA) -> Certificate:
                               f"[{pair.xi1}, {pair.xi2})"))
 
     comp_target = _comp_value(t)
-    depth = pair.certification_depth
+    depth = pair.certification_depth  # 2(l+2): also covers v_{2k+1}, k <= l+1
 
-    def v_comp(eps: QSqrt2) -> int:
-        return generate(SequenceSpec(eps, depth=depth)).values[depth - 1]
+    def trace(eps: QSqrt2) -> SequenceTrace:
+        return generate(SequenceSpec(eps, depth=depth))
 
-    at_lo = pair.xi1
-    at_hi = pair.xi2 - QSqrt2.of(delta)
-    checks.append(CheckResult("(comp) holds at xi1", v_comp(at_lo) == comp_target,
-                              f"v_{depth}(xi1)={v_comp(at_lo)} target={comp_target}"))
-    checks.append(CheckResult("(comp) holds at xi2-delta",
-                              v_comp(at_hi) == comp_target,
-                              f"v_{depth}(xi2-delta)={v_comp(at_hi)}"))
+    tr_lo = trace(pair.xi1)
+    tr_hi = trace(pair.xi2 - QSqrt2.of(delta))
+    v_lo, v_hi = tr_lo.v(depth), tr_hi.v(depth)
+    checks.append(CheckResult("(comp) holds at xi1", v_lo == comp_target,
+                              f"v_{depth}(xi1)={v_lo} target={comp_target}"))
+    checks.append(CheckResult("(comp) holds at xi2-delta", v_hi == comp_target,
+                              f"v_{depth}(xi2-delta)={v_hi}"))
 
     if (pair.xi1 - DOMAIN_LO).sign() > 0:
-        below = pair.xi1 - QSqrt2.of(delta)
-        checks.append(CheckResult("(comp) fails at xi1-delta",
-                                  v_comp(below) != comp_target,
-                                  f"v_{depth}(xi1-delta)={v_comp(below)}"))
+        v_below = trace(pair.xi1 - QSqrt2.of(delta)).v(depth)
+        checks.append(CheckResult("(comp) fails at xi1-delta", v_below != comp_target,
+                                  f"v_{depth}(xi1-delta)={v_below}"))
     else:
         notes.append("left endpoint is the domain boundary 1-sqrt2/2; "
                      "sharpness there comes from the (conditio) constraint")
     if (pair.xi2 - DOMAIN_HI).sign() < 0:
-        checks.append(CheckResult("(comp) fails at xi2",
-                                  v_comp(pair.xi2) != comp_target,
-                                  f"v_{depth}(xi2)={v_comp(pair.xi2)}"))
+        v_at_xi2 = trace(pair.xi2).v(depth)
+        checks.append(CheckResult("(comp) fails at xi2", v_at_xi2 != comp_target,
+                                  f"v_{depth}(xi2)={v_at_xi2}"))
     else:
         notes.append("right endpoint is the domain boundary sqrt2/2; "
                      "sharpness there comes from the (conditio) constraint")
 
-    # initial odd-form cases: v_{2k+1} = floor(t*2^{k-1}) + 2^k for 0<=k<=l+1
-    tv = t.value()
-    for eps, label in ((at_lo, "xi1"), (at_hi, "xi2-delta")):
-        tr = generate(SequenceSpec(eps, depth=2 * (t.l + 1) + 2))
+    # odd-form base cases: v_{2k+1} = floor(t*2^{k-1}) + 2^k for 0<=k<=l+1
+    fl = _dyadic_floors(t.value(), t.l)
+    for tr, label in ((tr_lo, "xi1"), (tr_hi, "xi2-delta")):
         bad = [k for k in range(0, t.l + 2)
-               if tr.v(2 * k + 1) != _odd_form_value(tv, k)]
+               if tr.v(2 * k + 1) != fl(k - 1) + (1 << k)]
         checks.append(CheckResult(f"(odd) for 0<=k<=l+1 at {label}", not bad,
                                   f"failing k={bad}" if bad else "all k"))
 
     # odd-indexed prefix identical across the interval
-    tr1 = generate(SequenceSpec(at_lo, depth=2 * (t.l + 1) + 2))
-    tr2 = generate(SequenceSpec(at_hi, depth=2 * (t.l + 1) + 2))
-    stable = all(tr1.v(2 * k + 1) == tr2.v(2 * k + 1) for k in range(0, t.l + 2))
+    stable = all(tr_lo.v(2 * k + 1) == tr_hi.v(2 * k + 1) for k in range(0, t.l + 2))
     checks.append(CheckResult("odd prefix stable on [xi1, xi2)", stable))
 
     if pair.index == 6 and comp_target != 2749487923:
@@ -279,26 +266,23 @@ def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
     from .table import entry
     pair = entry(index)
     t = pair.target
-    tv = t.value()
     ks = sorted(k_range)
     if index != 5 and ks and ks[0] < t.l + 2:
         raise ValueError(f"row {index} closed forms need k >= {t.l + 2}")
     depth = 2 * ks[-1] + 2
     tr = generate(SequenceSpec(_as_eps(epsilon), depth=depth))
-
-    def fl(scale: Fraction) -> int:
-        return floor_q(QSqrt2(tv.a * scale, tv.b * scale))
+    fl = _dyadic_floors(t.value(), max(ks[-1] - 1, 0))  # fl(j) = floor(t*2^j)
 
     odd_bad = []
     for k in ks:
-        want = fl(Fraction(1 << (k - 1)) if k >= 1 else Fraction(1, 2)) + (1 << k)
+        want = fl(k - 1) + (1 << k)
         if tr.v(2 * k + 1) != want:
             odd_bad.append((k, want, tr.v(2 * k + 1)))
 
     if index != 5:
         even_bad = []
         for k in ks:
-            want = fl(Fraction(1 << (k - 2)) if k >= 2 else Fraction(1, 1 << (2 - k)))
+            want = fl(k - 2)
             want += t.gamma * (1 << (k - t.l - 2)) if k >= t.l + 2 else 0
             if tr.v(2 * k) != want:
                 even_bad.append((k, want, tr.v(2 * k)))
@@ -309,13 +293,13 @@ def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
     corrected_bad = []
     for k in ks:
         if k >= 2:
-            printed = fl(Fraction(1 << (k - 2))) + (1 << (k - 2))
+            printed = fl(k - 2) + (1 << (k - 2))
             if tr.v(2 * k) != printed:
                 printed_bad.append((k, printed, tr.v(2 * k)))
         else:
             # addend 2^{k-2} is non-integral at k=1: the printed form cannot hold
             printed_bad.append((k, -1, tr.v(2 * k)))
-        corrected = fl(Fraction(1 << (k - 1)) if k >= 1 else Fraction(1, 2)) + (1 << (k - 1))
+        corrected = fl(k - 1) + (1 << (k - 1))
         if tr.v(2 * k) != corrected:
             corrected_bad.append((k, corrected, tr.v(2 * k)))
     return ClosedFormReport(index, not corrected_bad, not odd_bad,
@@ -420,15 +404,6 @@ class CorollaryReport:
         return self.agree_from_31 and self.identity_ok and self.onset <= 31
 
 
-def multiple_sqrt2_digit(alpha: int, k: int, int_bits: int) -> int:
-    """MSB-first binary digit k of alpha*sqrt2, whose integer part has
-    int_bits bits."""
-    def fl(j: int) -> int:
-        return floor_scaled_sqrt2(alpha, j)
-    j = k - int_bits
-    return fl(j) - 2 * fl(j - 1)
-
-
 def corollary_check(depth: int = 150, cap: int = 4096) -> CorollaryReport:
     """w-trace with eps = 1 - pi^2/e^3 versus the binary digits of
     759250125*sqrt2 (31 integer bits; digit n+1 compared against d_n)."""
@@ -438,16 +413,16 @@ def corollary_check(depth: int = 150, cap: int = 4096) -> CorollaryReport:
     trace = generate(SequenceSpec(eps, depth=2 * depth + 1, max_bits=cap))
     stream = digits_from_trace(trace, depth).digits
 
-    # integer part of alpha6*sqrt2 lies just above 2^30: 31 bits
-    t_floor = floor_scaled_sqrt2(ALPHA6, 0)
-    int_bits = t_floor.bit_length()
-    bad = [n for n in range(1, depth + 1)
-           if stream[n - 1] != multiple_sqrt2_digit(ALPHA6, n + 1, int_bits)]
+    a6 = QSqrt2.of(0, ALPHA6)
+    # the integer part of alpha6*sqrt2 has 31 bits (it lies just above 2^30),
+    # so its MSB-first digit k is digit k of alpha6*sqrt2/2^30 in [1, 2)
+    want = digits_of_target(a6 / (1 << 30), depth + 1).digits
+    bad = [n for n in range(1, depth + 1) if stream[n - 1] != want[n]]
     onset = (max(bad) + 1) if bad else 1
 
     # exact identity in Q(sqrt2): 2^29 t6 + beta6 = alpha6*sqrt2
     t6 = AlgebraicTarget(ALPHA6, BETA6, 29).value()
-    identity_ok = (t6 * (1 << 29) + QSqrt2.of(BETA6)) == QSqrt2(Fraction(0), Fraction(ALPHA6))
+    identity_ok = (t6 * (1 << 29) + QSqrt2.of(BETA6)) == a6
 
     return CorollaryReport(
         depth,

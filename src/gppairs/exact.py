@@ -7,7 +7,6 @@ operations are pure and exact (no floating point).
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -160,27 +159,9 @@ def frac_q(x: QSqrt2) -> QSqrt2:
     return x - floor_q(x)
 
 
-def floor_scaled_sqrt2(alpha: int, m: int) -> int:
-    """floor(alpha * sqrt2 * 2^m) for alpha >= 0.
-
-    Fast path for m >= 0 via isqrt; for m < 0, floor(floor(alpha*sqrt2)/2^-m)
-    equals floor(alpha*sqrt2/2^-m) since 2^-m is a positive integer.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if m >= 0:
-        return isqrt(2 * alpha * alpha * (4 ** m))
-    return isqrt(2 * alpha * alpha) >> (-m)
-
-
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-]?)\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?\s*\*?\s*)?"
-    r"(?P<s2>sqrt2)?\s*"
-)
-
-
 def format_qsqrt2(x: QSqrt2) -> str:
-    """Textual form "p/q+r/s*sqrt2"; zero terms are omitted."""
+    """Textual form "p/q+r/s*sqrt2"; zero terms are omitted.  The
+    expression grammar reads it back: exact_value(parse_expr(text))."""
     def rat(f: Fraction) -> str:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -198,27 +179,3 @@ def format_qsqrt2(x: QSqrt2) -> str:
             parts.append(("-" if x.b < 0 else "") + term)
     return "".join(parts)
 
-
-def parse_qsqrt2(text: str) -> QSqrt2:
-    """Parse the textual form produced by format_qsqrt2."""
-    pos = 0
-    total = QSqrt2.of(0)
-    text = text.strip()
-    if not text:
-        raise ValueError("empty Q(sqrt2) literal")
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad Q(sqrt2) literal at position {pos}: {text!r}")
-        sgn = -1 if m.group("sign") == "-" else 1
-        num = m.group("num")
-        den = m.group("den")
-        if num is None and m.group("s2") is None:
-            raise ValueError(f"bad Q(sqrt2) literal at position {pos}: {text!r}")
-        coeff = Fraction(int(num), int(den or 1)) if num is not None else Fraction(1)
-        if m.group("s2"):
-            total = total + QSqrt2(Fraction(0), sgn * coeff)
-        else:
-            total = total + QSqrt2(sgn * coeff, Fraction(0))
-        pos = m.end()
-    return total

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import QSqrt2, isqrt
+from .exact import QSqrt2, floor_rat_sqrt2
 
 
 class EvalError(ValueError):
@@ -182,7 +182,7 @@ def const_e(bits: int) -> RealInterval:
 
 def const_sqrt2(bits: int) -> RealInterval:
     s = 1 << bits
-    r = isqrt(2 * s * s)
+    r = floor_rat_sqrt2(s, 1)
     return RealInterval(Fraction(r, s), Fraction(r + 1, s), bits)
 
 
@@ -395,26 +395,21 @@ class RefinableReal:
 
 
 def certified_floor(
-    x: RefinableReal | None,
-    exact_offset: QSqrt2 = QSqrt2.of(0),
+    x: RefinableReal,
     addend: int = 0,
     max_bits: int = 4096,
     start_bits: int = 64,
 ) -> int:
-    """floor(sqrt2 * (addend + exact_offset + x)), certified.
+    """floor(sqrt2 * (addend + x)), certified.
 
     Doubles the working precision from `start_bits` until both endpoints of
     the enclosure share the same integer part; raises UndecidableError at
-    `max_bits`, which no attempt exceeds.  The exact Q(sqrt2) part is folded
-    in without interval error: sqrt2*(n + a + b*sqrt2) = 2b + (n + a)*sqrt2.
+    `max_bits`, which no attempt exceeds.
     """
     bits = min(start_bits, max_bits)
-    shift = QSqrt2.of(addend) + exact_offset
     while True:
         s2 = const_sqrt2(bits)
-        iv = _as_interval(2 * shift.b) + s2 * (shift.a)
-        if x is not None:
-            iv = iv + s2 * x.refine(bits)
+        iv = s2 * addend + s2 * x.refine(bits)
         flo = iv.lo.numerator // iv.lo.denominator
         fhi = iv.hi.numerator // iv.hi.denominator
         if flo == fhi:

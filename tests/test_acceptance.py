@@ -31,7 +31,7 @@ from gppairs.engine import (
     lemma_checks,
     verify_pair,
 )
-from gppairs.exact import QSqrt2, floor_q, floor_scaled_sqrt2, isqrt
+from gppairs.exact import QSqrt2, floor_q, floor_rat_sqrt2, isqrt
 from gppairs.table import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, entry, halfint
 
 
@@ -138,7 +138,7 @@ def test_criterion_10_figure2_jump_data(capsys):
 
     # the printed constant 2749487923 differs from the exact value: recorded
     # as a suspected erratum in the row-6 certificate, never a failure
-    exact = floor_scaled_sqrt2(759250125, 0) + 2 * 759250125
+    exact = floor_rat_sqrt2(759250125, 1) + 2 * 759250125
     assert exact == 2592242074
     cert = certify_pair(entry(6))
     assert cert.ok

@@ -14,7 +14,12 @@ from gppairs.discovery import halfint_form, value_at
 
 
 def run(capsys, *argv):
-    code = main(["--no-timing", *argv])
+    """Exit status, stdout and stderr of one CLI run; argparse rejects some
+    bad input itself, by SystemExit instead of a return value."""
+    try:
+        code = main(["--no-timing", *argv])
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -160,6 +165,12 @@ class TestPlotdata:
     (("digits", "--epsilon", "1-pi^2/e^3", "--count", "4", "--max-bits", "0"),
      "--max-bits"),
     (("corollary", "--cap", "4"), "--cap"),
+    (("verify", "--pair", "all", "--depth", "0"), "argument --depth: must be at least 1"),
+    (("digits", "--epsilon", "1/2", "--count", "-1"),
+     "argument --count: must be at least 0"),
+    (("verify", "--pair", "x"), "argument --pair: invalid choice: 'x'"),
+    (("verify", "--pair", "9"), "argument --pair: invalid choice: '9'"),
+    (("corollary", "--max-bits", "4"), "argument --max-bits/--cap: must be at least 8"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -173,7 +184,7 @@ def test_bad_input(capsys, argv, named):
     ("digits", "--epsilon", "1/2", "--count", "x"),
     ("digits", "--epsilon", "1/2"),
     ("digits", "--epsilon", "1/2", "--count", "3", "--bogus"),
-    ("corollary", "--max-bits", "9"),
+    ("corollary", "--max-bits", "x"),
     ("frobnicate",),
     (),
     ("plotdata", "--figure", "3"),
@@ -206,6 +217,15 @@ class TestMisc:
         code, rep = run_json(capsys, "corollary", "--max-n", "60")
         assert code == 0
         assert all(r["pass"] for r in rep["results"])
+
+    def test_corollary_max_bits(self, capsys):
+        # --cap is the same option as --max-bits, the flag `digits` takes
+        runs = [run(capsys, "corollary", "--max-n", "60", flag, "256")
+                for flag in ("--max-bits", "--cap")]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        code, out, err = run(capsys, "corollary", "--max-n", "200", "--max-bits", "64")
+        assert (code, out) == (1, "")
+        assert err.endswith("try a larger --max-bits\n")
 
     def test_normality(self, capsys):
         code, rep = run_json(capsys, "normality", "--multiplier", "3",

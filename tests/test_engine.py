@@ -7,23 +7,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gppairs.engine import (
+    ALPHA6,
     DELTA,
     HALF,
     SequenceSpec,
     certify_pair,
     closed_form_check,
+    corollary_check,
     digits_from_trace,
     digits_of_target,
     exact_step,
     first_bad_digit,
     generate,
     lemma_checks,
-    multiple_sqrt2_digit,
     normality_probe,
     verify_pair,
 )
-from gppairs.exact import QSqrt2, floor_q, floor_scaled_sqrt2, integer_form
-from gppairs import reals
+from gppairs.exact import QSqrt2, floor_q, floor_rat_sqrt2, integer_form
+from gppairs import engine, reals
 from gppairs.reals import RefinableReal, UndecidableError
 from gppairs.table import THEOREM_TABLE, entry
 
@@ -210,9 +211,19 @@ class TestVerifyPair:
 
 class TestCertify:
     @pytest.mark.parametrize("index", [1, 2, 3, 4, 6, 7, 8])
-    def test_rows_certify(self, index):
+    def test_rows_certify(self, index, monkeypatch):
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return generate(spec)
+
+        monkeypatch.setattr(engine, "generate", counting)
         cert = certify_pair(entry(index))
         assert cert.ok, [c for c in cert.checks if not c.passed]
+        # one trace per point: xi1, xi2-delta and at most xi1-delta and xi2
+        assert len(calls) <= 4
+        assert all(s.depth == entry(index).certification_depth for s in calls)
 
     def test_row5_rejected(self):
         with pytest.raises(ValueError):
@@ -291,8 +302,29 @@ class TestNormality:
 class TestMultipleSqrt2Digit:
     def test_msb_digits_of_alpha6(self):
         alpha = 759250125
-        int_bits = floor_scaled_sqrt2(alpha, 0).bit_length()
+        int_bits = floor_rat_sqrt2(alpha, 1).bit_length()
         assert int_bits == 31
-        digits = [multiple_sqrt2_digit(alpha, k, int_bits) for k in range(1, 32)]
+        # MSB-first digit k of alpha*sqrt2 is digit k of alpha*sqrt2/2^30
+        digits = digits_of_target(QSqrt2.of(0, Fraction(alpha, 1 << 30)), 31).digits
         value = int("".join(map(str, digits)), 2)
-        assert value == floor_scaled_sqrt2(alpha, 0)
+        assert value == floor_rat_sqrt2(alpha, 1)
+
+    def test_corollary_digits_match_definition(self):
+        # digit k of alpha6*sqrt2 (31 integer bits) from two floors per digit:
+        # floor(alpha6*sqrt2*2^(k-31)) - 2*floor(alpha6*sqrt2*2^(k-32))
+        depth = 600
+
+        def fl(j):
+            return floor_q(QSqrt2.of(0, ALPHA6 * Fraction(2) ** j))
+
+        want = [fl(n + 1 - 31) - 2 * fl(n - 31) for n in range(1, depth + 1)]
+        a6 = QSqrt2.of(0, Fraction(ALPHA6, 1 << 30))
+        assert digits_of_target(a6, depth + 1).digits[1:] == tuple(want)
+        trace = generate(SequenceSpec(RefinableReal("1-pi^2/e^3"), depth=2 * depth + 1))
+        got = digits_from_trace(trace, depth).digits
+        bad = [n for n in range(1, depth + 1) if got[n - 1] != want[n - 1]]
+        rep = corollary_check(depth)
+        assert rep.disagreements_below_31 == tuple(n for n in bad if n < 31)
+        assert rep.agree_from_31 == all(n < 31 for n in bad)
+        assert rep.onset == (max(bad) + 1 if bad else 1)
+        assert rep.ok

@@ -1,4 +1,4 @@
-"""Exact Q(sqrt2) arithmetic: sign, floor, isqrt, parsing."""
+"""Exact Q(sqrt2) arithmetic: sign, floor, isqrt, text round-trip."""
 
 import math
 from fractions import Fraction
@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gppairs.discovery import sweep
 from gppairs.exact import (
     QSqrt2,
     floor_q,
-    floor_scaled_sqrt2,
+    floor_rat_sqrt2,
     format_qsqrt2,
     frac_q,
     isqrt,
-    parse_qsqrt2,
 )
+from gppairs.reals import exact_value, parse_expr
+from gppairs.table import DOMAIN_HI, DOMAIN_LO
 
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4)
@@ -120,19 +122,22 @@ class TestFloor:
 class TestFloorScaled:
     def test_binary_digits_of_sqrt2(self):
         # floor(sqrt2 * 2^m) successive bits: sqrt2 = (1.0110101000...)_2
-        bits = [floor_scaled_sqrt2(1, m) - 2 * floor_scaled_sqrt2(1, m - 1)
+        bits = [floor_rat_sqrt2(1 << m, 1) - 2 * floor_rat_sqrt2(1 << (m - 1), 1)
                 for m in range(1, 11)]
         assert bits == [0, 1, 1, 0, 1, 0, 1, 0, 0, 0]
 
-    @given(st.integers(min_value=0, max_value=10**9),
+    @given(st.integers(min_value=-10**9, max_value=10**9),
            st.integers(min_value=-20, max_value=20))
     def test_agrees_with_floor_q(self, alpha, m):
+        # floor(alpha * sqrt2 * 2^m) as floor((num/den) * sqrt2)
+        num, den = (alpha << m, 1) if m >= 0 else (alpha, 1 << -m)
         scale = Fraction(2) ** m
-        assert floor_scaled_sqrt2(alpha, m) == floor_q(QSqrt2.of(0, alpha * scale))
+        assert floor_rat_sqrt2(num, den) == floor_q(QSqrt2.of(0, alpha * scale))
 
-    def test_negative_alpha_raises(self):
-        with pytest.raises(ValueError):
-            floor_scaled_sqrt2(-1, 0)
+
+def parse_qsqrt2(text: str) -> QSqrt2:
+    """The text form read back through the expression grammar."""
+    return exact_value(parse_expr(text))
 
 
 class TestFormatParse:
@@ -150,6 +155,13 @@ class TestFormatParse:
     @given(qsqrt2s)
     def test_roundtrip(self, x):
         assert parse_qsqrt2(format_qsqrt2(x)) == x
+
+    def test_sweep_endpoints_roundtrip(self):
+        # breakpoints of a depth-600 sweep have coefficients of about 280 bits
+        cells = sweep(DOMAIN_LO, DOMAIN_HI, 600)
+        assert len(cells) == 9
+        for x in [c.lo for c in cells] + [cells[-1].hi]:
+            assert parse_qsqrt2(str(x)) == x
 
     @pytest.mark.parametrize("bad", ["", "sqrt3", "1+", "+ +"])
     def test_rejects_garbage(self, bad):

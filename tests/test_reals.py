@@ -143,8 +143,8 @@ class TestRefinableReal:
 
 class TestCertifiedFloor:
     def test_exact_only(self):
-        # floor(sqrt2 * 10) = 14 with no refinable part
-        assert certified_floor(None, addend=10) == 14
+        # floor(sqrt2 * 10) = 14 with a zero refinable part
+        assert certified_floor(RefinableReal("0"), addend=10) == 14
 
     def test_transcendental_offset(self):
         eps = RefinableReal("1-pi^2/e^3")
@@ -152,8 +152,7 @@ class TestCertifiedFloor:
         assert certified_floor(eps, addend=1) == 2
 
     def test_half_offset(self):
-        assert certified_floor(None, exact_offset=QSqrt2.of(Fraction(1, 2)),
-                               addend=1) == 2
+        assert certified_floor(RefinableReal("1/2"), addend=1) == 2
 
     def test_undecidable_at_budget(self):
         # sqrt2*(sqrt2/2) = 1 exactly: no finite precision can decide the floor
