@@ -138,7 +138,8 @@ def cmd_discover(args) -> dict:
         results = [
             {"name": f"row {args.row} left endpoint", "pass": ok,
              "witness": f"c={c} d={d} ({halfint(c, d).to_decimal()}...)"},
-            {"name": "minimal polynomial", "pass": True, "witness": str(poly)},
+            {"name": "minimal polynomial",
+             "pass": poly.eval_q(halfint(c, d)) == QSqrt2.of(0), "witness": str(poly)},
         ]
     except ValueError as exc:
         results = [{"name": f"row {args.row} discovery", "pass": False,
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.set_defaults(func=cmd_counterexample)
 
     co = sub.add_parser("corollary", help="check the 1-pi^2/e^3 recurrence")
-    co.add_argument("--max-n", type=int, default=150)
+    co.add_argument("--max-n", type=_at_least(32), default=150)
     co.add_argument("--max-bits", "--cap", type=_MAX_BITS, default=4096)
     co.set_defaults(func=cmd_corollary)
 

@@ -118,38 +118,59 @@ def bisect_jump(target_index: int, target_value: int,
 # --- integer lattice reduction (exact, small dimension) ---------------------
 
 def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
-    """Exact LLL (delta = 3/4) over the integers; small fixed dimensions."""
+    """Integral LLL, delta = 3/4 (Cohen, Alg. 2.6.7); small fixed dimensions.
+
+    Only integers are carried: d[i] is the Gram determinant of the first i
+    rows and lam[k][j] = d[j+1]*mu_kj, and every division is exact.  A
+    linearly dependent basis raises ValueError.
+    """
     b = [list(row) for row in basis]
     n = len(b)
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    def gram_schmidt():
-        star: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            vi = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                denom = dot(star[j], star[j])
-                mu[i][j] = Fraction(dot(b[i], star[j])) / denom
-                vi = [x - mu[i][j] * y for x, y in zip(vi, star[j])]
-            star.append(vi)
-        return star, mu
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = dot(b[k], b[j])
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+        if u == 0:
+            raise ValueError(f"lll_reduce: basis is linearly dependent (row {k})")
+        d[k + 1] = u
+
+    def reduce(k, j):
+        if 2 * abs(lam[k][j]) > d[j + 1]:
+            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+            lam[k][j] -= q * d[j + 1]
+            for i in range(j):
+                lam[k][i] -= q * lam[j][i]
 
     k = 1
     while k < n:
-        star, mu = gram_schmidt()
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        star, mu = gram_schmidt()
-        if dot(star[k], star[k]) >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1]):
-            k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            # swap rows k-1 and k, updating d[k] and the lam of later rows
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            m = lam[k][k - 1]
+            new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, n):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (new_d * t + m * lam[i][k]) // d[k + 1]
+            d[k] = new_d
             k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                reduce(k, j)
+            k += 1
     return b
 
 

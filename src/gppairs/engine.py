@@ -267,8 +267,10 @@ def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
     pair = entry(index)
     t = pair.target
     ks = sorted(k_range)
-    if index != 5 and ks and ks[0] < t.l + 2:
-        raise ValueError(f"row {index} closed forms need k >= {t.l + 2}")
+    # row 5's forms shift by 2^(k-1), so they start at k = 1
+    k_min = 1 if index == 5 else t.l + 2
+    if ks and ks[0] < k_min:
+        raise ValueError(f"row {index} closed forms need k >= {k_min}")
     depth = 2 * ks[-1] + 2
     tr = generate(SequenceSpec(_as_eps(epsilon), depth=depth))
     fl = _dyadic_floors(t.value(), max(ks[-1] - 1, 0))  # fl(j) = floor(t*2^j)

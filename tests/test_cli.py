@@ -97,6 +97,16 @@ class TestDiscover:
         assert code == 0
         assert "domain boundary" in rep["results"][0]["witness"]
 
+    def test_wrong_min_poly_fails(self, capsys, monkeypatch):
+        import gppairs.cli
+        from gppairs.discovery import QuadPoly
+        monkeypatch.setattr(gppairs.cli, "min_poly_deg2", lambda x: QuadPoly(1, 0, -2))
+        code, rep = run_json(capsys, "discover", "--row", "6")
+        assert code == 2
+        poly = rep["results"][1]
+        assert poly["name"] == "minimal polynomial"
+        assert poly["pass"] is False and poly["witness"] == "1*x^2 + 0*x + -2"
+
 
 class TestPlotdata:
     def test_figure1_csv_roundtrip(self, capsys):
@@ -171,6 +181,7 @@ class TestPlotdata:
     (("verify", "--pair", "x"), "argument --pair: invalid choice: 'x'"),
     (("verify", "--pair", "9"), "argument --pair: invalid choice: '9'"),
     (("corollary", "--max-bits", "4"), "argument --max-bits/--cap: must be at least 8"),
+    (("corollary", "--max-n", "30"), "argument --max-n: must be at least 32"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +146,80 @@ class TestLLL:
         assert len(red) == 3
         norms = [sum(v * v for v in row) for row in red]
         assert min(norms) < 10**12  # found a genuinely short vector
+
+    @staticmethod
+    def _gram_det(rows) -> Fraction:
+        m = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in rows] for u in rows]
+        det = Fraction(1)
+        for i in range(len(m)):
+            if m[i][i] == 0:  # a Gram matrix is positive semidefinite
+                return Fraction(0)
+            det *= m[i][i]
+            for r in range(i + 1, len(m)):
+                f = m[r][i] / m[i][i]
+                m[r] = [a - f * c for a, c in zip(m[r], m[i])]
+        return det
+
+    @staticmethod
+    def _in_lattice(row, basis) -> bool:
+        """row = sum z_i basis_i with integer z_i (basis rows independent)."""
+        n = len(basis)
+        # normal equations (B B^T) z = B row, solved exactly
+        m = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in basis]
+             + [Fraction(sum(x * y for x, y in zip(u, row)))] for u in basis]
+        for i in range(n):
+            for r in range(n):
+                if r != i:
+                    f = m[r][i] / m[i][i]
+                    m[r] = [a - f * c for a, c in zip(m[r], m[i])]
+        z = [m[i][n] / m[i][i] for i in range(n)]
+        return (all(c.denominator == 1 for c in z)
+                and [sum(c * b[j] for c, b in zip(z, basis)) for j in range(len(row))] == row)
+
+    @given(st.integers(2, 4), st.integers(0, 2), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_basis_is_reduced_and_spans(self, n, extra, data):
+        entry_st = st.integers(-(1 << 200), 1 << 200) | st.integers(-9, 9)
+        basis = data.draw(st.lists(st.lists(entry_st, min_size=n + extra,
+                                            max_size=n + extra),
+                                   min_size=n, max_size=n))
+        det = self._gram_det(basis)
+        if det == 0:
+            with pytest.raises(ValueError):
+                lll_reduce(basis)
+            return
+        red = lll_reduce(basis)
+        assert self._gram_det(red) == det
+        assert all(self._in_lattice(row, basis) for row in red)
+        # Gram-Schmidt of the output, in Fractions
+        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i, row in enumerate(red):
+            v = [Fraction(x) for x in row]
+            for j in range(i):
+                mu[i][j] = (sum(x * y for x, y in zip(row, star[j]))
+                            / sum(y * y for y in star[j]))
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+        norm = [sum(x * x for x in v) for v in star]
+        for k in range(1, n):
+            assert all(abs(mu[k][j]) <= Fraction(1, 2) for j in range(k))
+            assert norm[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norm[k - 1]
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            lll_reduce([[1, 2, 3], [5, 7, 11], [7, 11, 17]])  # row 3 = 2*row 1 + row 2
+        with pytest.raises(ValueError, match="linearly dependent"):
+            lll_reduce([[0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("tol_bits", [120, 200])
+    @pytest.mark.parametrize("index", range(2, 9))
+    def test_paper_left_endpoints(self, index, tol_bits):
+        c, d = halfint_form(entry(index).xi1)
+        enc = _enclose(entry(index).xi1, tol_bits)
+        assert identify_halfint_sqrt2(enc) == (c, d)
+        a2, a1, a0 = 2, 4 * d, 2 * d * d - c * c
+        g = gcd(gcd(a2, a1), abs(a0))
+        assert min_poly_deg2(enc) == QuadPoly(a2 // g, a1 // g, a0 // g)
 
 
 class TestEndpoints:

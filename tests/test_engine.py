@@ -266,6 +266,10 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_check(2, entry(2).midpoint, range(1, 10))
 
+    def test_k0_rejected_for_row5(self):
+        with pytest.raises(ValueError, match="row 5 closed forms need k >= 1"):
+            closed_form_check(5, entry(5).midpoint, range(0, 5))
+
 
 class TestLemmas:
     def test_clean_run(self):
