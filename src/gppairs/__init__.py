@@ -12,7 +12,6 @@ from .engine import (
     DigitStream,
     SequenceSpec,
     SequenceTrace,
-    certify_pair,
     closed_form_check,
     corollary_check,
     digits_from_trace,
@@ -25,6 +24,7 @@ from .engine import (
 )
 from .discovery import (
     bisect_jump,
+    certify_pair,
     identify_halfint_sqrt2,
     min_poly_deg2,
     reconstruct_table,

@@ -1,4 +1,5 @@
 """Endpoint-hunting machinery: exact piecewise-constant epsilon sweep,
+certification of whole rows and of their endpoints from one sweep each,
 bisection on trace values, algebraic identification of jump points,
 degree-2 minimal polynomials, and partition validation.
 """
@@ -9,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .engine import (SequenceSpec, SequenceTrace, digits_from_trace, digits_of_target,
-                     exact_step, generate)
+from .engine import (DELTA, SequenceSpec, SequenceTrace, _dyadic_floors, digits_from_trace,
+                     digits_of_target, exact_step, generate)
 from .exact import QSqrt2, floor_rat_sqrt2, integer_form, isqrt
 from .reals import RealInterval
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
@@ -303,6 +304,116 @@ def _verify_quad_root(poly: QuadPoly, x: RealInterval) -> None:
 
 
 @dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    witness: str = ""
+
+
+@dataclass(frozen=True)
+class Certificate:
+    pair_index: int
+    checks: tuple[CheckResult, ...]
+    comp_target: int | None = None
+    notes: tuple[str, ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+
+def _comp_value(target: AlgebraicTarget) -> int:
+    """floor(alpha*sqrt2) + 2*alpha, the required v_{2(l+2)} value."""
+    return floor_rat_sqrt2(target.alpha, 1) + 2 * target.alpha
+
+
+def _row_sweep(pair: GPPairEntry) -> list[SweepCell]:
+    """The row's one certifying sweep, at depth 2(l+2) (62 for row 5): the
+    cells next to [xi1, xi2) decide sharpness for every eps in them, so
+    DELTA only sets how far past each endpoint the window reaches."""
+    depth = pair.certification_depth if pair.index != 5 else 62
+    margin = QSqrt2.of(DELTA)
+    return sweep(max(pair.xi1 - margin, DOMAIN_LO), min(pair.xi2 + margin, DOMAIN_HI),
+                 depth)
+
+
+def _around(cells: list[SweepCell], x: QSqrt2) -> tuple[SweepCell | None, SweepCell | None]:
+    """The cells containing the points just below x and x itself; None
+    where that side of x lies outside the swept window."""
+    below = next((c for c in reversed(cells) if c.lo < x), None)
+    return below, next((c for c in cells if c.hi > x), None)
+
+
+def _span(cell: SweepCell) -> str:
+    return f"[{cell.lo}, {cell.hi})"
+
+
+def certify_pair(pair: GPPairEntry) -> Certificate:
+    """Finite exact checks that, with the two universal lemmas, establish the
+    pair for all n.  Rows other than 5 only; row 5 uses closed_form_check.
+
+    All are read off one sweep and hold for every eps: [xi1, xi2) is one
+    cell with (comp) and the (odd) base cases, the cells next to it fail (comp).
+    """
+    if pair.index == 5:
+        raise ValueError("row 5 is the direct case; use closed_form_check")
+    t = pair.target
+    checks: list[CheckResult] = []
+    notes: list[str] = []
+
+    ok = t.structure_ok()
+    checks.append(CheckResult(
+        "structure alpha odd, alpha+beta=2^(l+1)", ok,
+        f"alpha={t.alpha} beta={t.beta} l={t.l}"))
+    in_dom = DOMAIN_LO <= pair.xi1 < pair.xi2 <= DOMAIN_HI
+    checks.append(CheckResult("interval within [1-sqrt2/2, sqrt2/2)", in_dom,
+                              f"[{pair.xi1}, {pair.xi2})"))
+    if not (ok and in_dom):
+        return Certificate(pair.index, tuple(checks))
+
+    comp_target = _comp_value(t)
+    depth = pair.certification_depth  # 2(l+2): also covers v_{2k+1}, k <= l+1
+    cells = _row_sweep(pair)
+    inside = [c for c in cells if c.hi > pair.xi1 and c.lo < pair.xi2]
+    one = len(inside) == 1 and inside[0].lo == pair.xi1 and inside[0].hi == pair.xi2
+    checks.append(CheckResult("[xi1, xi2) is one sweep cell", one,
+                              ", ".join(map(_span, inside))))
+    values = sorted({c.prefix[-1] for c in inside})
+    checks.append(CheckResult("(comp) holds on [xi1, xi2)", values == [comp_target],
+                              f"v_{depth}={values} target={comp_target}"))
+
+    below, _ = _around(cells, pair.xi1)
+    if below is not None:
+        checks.append(CheckResult("(comp) fails just below xi1",
+                                  below.prefix[-1] != comp_target,
+                                  f"v_{depth}={below.prefix[-1]}"))
+    else:
+        notes.append("left endpoint is the domain boundary 1-sqrt2/2; "
+                     "sharpness there comes from the (conditio) constraint")
+    _, above = _around(cells, pair.xi2)
+    if above is not None:
+        checks.append(CheckResult("(comp) fails at xi2", above.prefix[-1] != comp_target,
+                                  f"v_{depth}(xi2)={above.prefix[-1]}"))
+    else:
+        notes.append("right endpoint is the domain boundary sqrt2/2; "
+                     "sharpness there comes from the (conditio) constraint")
+
+    # odd-form base cases: v_{2k+1} = floor(t*2^{k-1}) + 2^k for 0<=k<=l+1
+    fl = _dyadic_floors(t.value(), t.l)
+    bad = sorted({k for c in inside for k in range(0, t.l + 2)
+                  if c.prefix[2 * k] != fl(k - 1) + (1 << k)})
+    checks.append(CheckResult("(odd) for 0<=k<=l+1 on [xi1, xi2)", not bad,
+                              f"failing k={bad}" if bad else "all k"))
+
+    if pair.index == 6 and comp_target != 2749487923:
+        notes.append(
+            f"computed floor(alpha*sqrt2)+2*alpha = {comp_target}; the "
+            "literature prints 2749487923 - recorded as a suspected erratum")
+
+    return Certificate(pair.index, tuple(checks), comp_target, tuple(notes))
+
+
+@dataclass(frozen=True)
 class EndpointReport:
     pair_index: int
     side: str
@@ -313,53 +424,28 @@ class EndpointReport:
         return all(p for _, p, _ in self.checks)
 
 
-def verify_endpoint(pair: GPPairEntry, side: str,
-                    delta: Fraction = Fraction(1, 1 << 60)) -> EndpointReport:
-    """Exact confirmation that an endpoint is a sharp (comp) breakpoint,
-    plus a local sweep showing exactly one breakpoint at the endpoint."""
-    from .engine import _comp_value
-
+def verify_endpoint(pair: GPPairEntry, side: str) -> EndpointReport:
+    """Exact confirmation, read off the row's one sweep, that an endpoint is
+    a breakpoint and, except on row 5, a sharp (comp) one: (comp) holds on
+    the cell on the interval's side and fails on the other."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     xi = pair.xi1 if side == "left" else pair.xi2
-    checks: list[tuple[str, bool, str]] = []
+    below, at = _around(_row_sweep(pair), xi)
+    inner, outer = (at, below) if side == "left" else (below, at)
+    at_xi = (at is None or at.lo == xi) and (below is None or below.hi == xi)
+    if pair.index == 5:
+        return EndpointReport(5, side, (
+            ("breakpoint at xi", at_xi, f"{_span(inner)}; direct case: no (comp) check"),))
 
-    if pair.index != 5:
-        target = _comp_value(pair.target)
-        depth = pair.certification_depth
-        inner = xi if side == "left" else xi - QSqrt2.of(delta)
-        outer = xi - QSqrt2.of(delta) if side == "left" else xi
-        v_inner = value_at(inner, depth)
-        v_outer = value_at(outer, depth)
-        checks.append(("(comp) holds inside", v_inner == target,
-                       f"v_{depth}={v_inner} target={target}"))
-        at_boundary = (side == "left" and not (xi - DOMAIN_LO).sign() > 0) or \
-                      (side == "right" and not (xi - DOMAIN_HI).sign() < 0)
-        if not at_boundary:
-            checks.append(("(comp) fails outside", v_outer != target,
-                           f"v_{depth}={v_outer}"))
-    else:
-        checks.append(("interval bounds ordered", (pair.xi1 - pair.xi2).sign() < 0,
-                       "direct case: no (comp) check"))
-
-    # local sweep around xi: exactly one breakpoint, located at xi
-    depth = pair.certification_depth if pair.index != 5 else 62
-    lo = xi - QSqrt2.of(delta)
-    hi = xi + QSqrt2.of(delta)
-    boundary_clipped = False
-    if (lo - DOMAIN_LO).sign() < 0:
-        lo, boundary_clipped = DOMAIN_LO, True
-    if (hi - DOMAIN_HI).sign() > 0:
-        hi, boundary_clipped = DOMAIN_HI, True
-    if boundary_clipped and not (lo - hi).sign() < 0:
-        checks.append(("local sweep", True, "window degenerate at domain boundary"))
-    else:
-        cells = sweep(lo, hi, depth)
-        breakpoints = [c.lo for c in cells[1:]]
-        one = len(breakpoints) <= 1
-        at_xi = all((bp - xi).sign() == 0 for bp in breakpoints)
-        checks.append(("single local breakpoint at xi", one and at_xi,
-                       f"{len(breakpoints)} breakpoint(s)"))
+    target = _comp_value(pair.target)
+    depth = pair.certification_depth
+    checks = [("breakpoint at xi", at_xi, _span(inner)),
+              ("(comp) holds inside", inner.prefix[-1] == target,
+               f"v_{depth}={inner.prefix[-1]} target={target}")]
+    if outer is not None:
+        checks.append(("(comp) fails outside", outer.prefix[-1] != target,
+                       f"v_{depth}={outer.prefix[-1]}"))
     return EndpointReport(pair.index, side, tuple(checks))
 
 

@@ -1,5 +1,6 @@
-"""Sequence generation, digit extraction, pair verification/certification,
-counterexample scanning, normality probes, and the corollary check.
+"""Sequence generation, digit extraction, digit verification of a row at
+one epsilon, closed-form checks, counterexample scanning, normality probes,
+and the corollary check (row certification is in discovery.py, by sweep).
 
 The step rule throughout: v_{n+1} = floor(sqrt2*(v_n + eps)) for odd n,
 floor(sqrt2*(v_n + 1/2)) for even n.
@@ -17,7 +18,9 @@ from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
 
 HALF = Fraction(1, 2)
 SQRT2 = QSqrt2.sqrt2()
-DELTA = Fraction(1, 1 << 60)  # endpoint-sharpness margin
+# verify's xi2-delta sample point, and how far a row's certifying sweep
+# reaches past its endpoints; no certificate verdict depends on its size
+DELTA = Fraction(1, 1 << 60)
 
 
 def _as_eps(eps) -> QSqrt2 | RefinableReal:
@@ -145,105 +148,11 @@ def verify_pair(pair: GPPairEntry, epsilon, depth: int) -> MatchReport:
     return MatchReport(pair.index, depth, True, in_interval, None)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    witness: str = ""
-
-
-@dataclass(frozen=True)
-class Certificate:
-    pair_index: int
-    checks: tuple[CheckResult, ...]
-    comp_target: int | None = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def _comp_value(target: AlgebraicTarget) -> int:
-    """floor(alpha*sqrt2) + 2*alpha, the required v_{2(l+2)} value."""
-    return floor_rat_sqrt2(target.alpha, 1) + 2 * target.alpha
-
-
 def _dyadic_floors(t: QSqrt2, top: int):
     """j -> floor(t*2^j) for every j <= top (top >= 0), from one floor_q:
     floor(floor(y)/2^i) = floor(y/2^i)."""
     f = floor_q(t * (1 << top))
     return lambda j: f >> (top - j)
-
-
-def certify_pair(pair: GPPairEntry, delta: Fraction = DELTA) -> Certificate:
-    """Finite exact checks that, with the two universal lemmas, establish the
-    pair for all n.  Rows other than 5 only; row 5 uses closed_form_check."""
-    if pair.index == 5:
-        raise ValueError("row 5 is the direct case; use closed_form_check")
-    t = pair.target
-    checks: list[CheckResult] = []
-    notes: list[str] = []
-
-    ok = t.structure_ok()
-    checks.append(CheckResult(
-        "structure alpha odd, alpha+beta=2^(l+1)", ok,
-        f"alpha={t.alpha} beta={t.beta} l={t.l}"))
-    if not ok:
-        return Certificate(pair.index, tuple(checks))
-
-    in_dom = (pair.xi1 - DOMAIN_LO).sign() >= 0 and (pair.xi2 - DOMAIN_HI).sign() <= 0 \
-        and (pair.xi1 - pair.xi2).sign() < 0
-    checks.append(CheckResult("interval within [1-sqrt2/2, sqrt2/2)", in_dom,
-                              f"[{pair.xi1}, {pair.xi2})"))
-
-    comp_target = _comp_value(t)
-    depth = pair.certification_depth  # 2(l+2): also covers v_{2k+1}, k <= l+1
-
-    def trace(eps: QSqrt2) -> SequenceTrace:
-        return generate(SequenceSpec(eps, depth=depth))
-
-    tr_lo = trace(pair.xi1)
-    tr_hi = trace(pair.xi2 - QSqrt2.of(delta))
-    v_lo, v_hi = tr_lo.v(depth), tr_hi.v(depth)
-    checks.append(CheckResult("(comp) holds at xi1", v_lo == comp_target,
-                              f"v_{depth}(xi1)={v_lo} target={comp_target}"))
-    checks.append(CheckResult("(comp) holds at xi2-delta", v_hi == comp_target,
-                              f"v_{depth}(xi2-delta)={v_hi}"))
-
-    if (pair.xi1 - DOMAIN_LO).sign() > 0:
-        v_below = trace(pair.xi1 - QSqrt2.of(delta)).v(depth)
-        checks.append(CheckResult("(comp) fails at xi1-delta", v_below != comp_target,
-                                  f"v_{depth}(xi1-delta)={v_below}"))
-    else:
-        notes.append("left endpoint is the domain boundary 1-sqrt2/2; "
-                     "sharpness there comes from the (conditio) constraint")
-    if (pair.xi2 - DOMAIN_HI).sign() < 0:
-        v_at_xi2 = trace(pair.xi2).v(depth)
-        checks.append(CheckResult("(comp) fails at xi2", v_at_xi2 != comp_target,
-                                  f"v_{depth}(xi2)={v_at_xi2}"))
-    else:
-        notes.append("right endpoint is the domain boundary sqrt2/2; "
-                     "sharpness there comes from the (conditio) constraint")
-
-    # odd-form base cases: v_{2k+1} = floor(t*2^{k-1}) + 2^k for 0<=k<=l+1
-    fl = _dyadic_floors(t.value(), t.l)
-    for tr, label in ((tr_lo, "xi1"), (tr_hi, "xi2-delta")):
-        bad = [k for k in range(0, t.l + 2)
-               if tr.v(2 * k + 1) != fl(k - 1) + (1 << k)]
-        checks.append(CheckResult(f"(odd) for 0<=k<=l+1 at {label}", not bad,
-                                  f"failing k={bad}" if bad else "all k"))
-
-    # odd-indexed prefix identical across the interval
-    stable = all(tr_lo.v(2 * k + 1) == tr_hi.v(2 * k + 1) for k in range(0, t.l + 2))
-    checks.append(CheckResult("odd prefix stable on [xi1, xi2)", stable))
-
-    if pair.index == 6 and comp_target != 2749487923:
-        notes.append(
-            f"computed floor(alpha*sqrt2)+2*alpha = {comp_target}; the "
-            "literature prints 2749487923 - recorded as a suspected erratum")
-
-    return Certificate(pair.index, tuple(checks), comp_target, tuple(notes))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from fractions import Fraction
 from gppairs.cli import main as cli_main
 from gppairs.discovery import (
     bisect_jump,
+    certify_pair,
     halfint_form,
     identify_halfint_sqrt2,
     min_poly_deg2,
@@ -22,7 +23,6 @@ from gppairs.discovery import (
 from gppairs.engine import (
     DELTA,
     SequenceSpec,
-    certify_pair,
     closed_form_check,
     corollary_check,
     digits_from_trace,

@@ -78,12 +78,15 @@ class TestVerify:
         assert code == 0
         assert all(r["pass"] for r in rep["results"])
 
-    def test_single_row_with_interval_note(self, capsys):
+    def test_single_row_without_interval_result(self, capsys):
+        # row 5 reports only checks that can fail: its digits and closed forms
         code, rep = run_json(capsys, "verify", "--pair", "5", "--depth", "60")
         assert code == 0
-        note = next(r for r in rep["results"] if r["name"] == "pair 5 interval")
-        assert note["witness"].startswith("[0.4959953")
-        assert "0.5012400" in note["witness"]
+        names = [r["name"] for r in rep["results"]]
+        assert "pair 5 interval" not in names
+        assert names == ["pair 5 digits at xi1", "pair 5 digits at mid",
+                         "pair 5 digits at xi2-delta",
+                         "pair 5 closed forms (odd + corrected even)"]
 
 
 class TestDiscover:
@@ -182,6 +185,21 @@ class TestPlotdata:
     (("verify", "--pair", "9"), "argument --pair: invalid choice: '9'"),
     (("corollary", "--max-bits", "4"), "argument --max-bits/--cap: must be at least 8"),
     (("corollary", "--max-n", "30"), "argument --max-n: must be at least 32"),
+    (("discover", "--row", "6", "--tol-bits", "-5"),
+     "argument --tol-bits: must be at least 1"),
+    (("discover", "--row", "6", "--tol-bits", "0"),
+     "argument --tol-bits: must be at least 1"),
+    (("discover", "--row", "9"), "argument --row: invalid choice: 9"),
+    (("discover", "--row", "0"), "argument --row: invalid choice: 0"),
+    (("normality", "--k", "0"), "argument --k: must be at least 1"),
+    (("normality", "--k", "-1"), "argument --k: must be at least 1"),
+    (("counterexample", "--epsilon", "0.2928", "--limit", "0"),
+     "argument --limit: must be at least 1"),
+    (("plotdata", "--figure", "2", "--samples", "1"),
+     "argument --samples: must be at least 2"),
+    (("plotdata", "--figure", "2", "--depth", "0"), "argument --depth: must be at least 1"),
+    (("sweep", "--depth", "0"), "argument --depth: must be at least 1"),
+    (("table", "--depth", "0"), "argument --depth: must be at least 1"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)

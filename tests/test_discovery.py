@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gppairs import discovery
 from gppairs.discovery import (
     IdentificationError,
     QuadPoly,
@@ -232,6 +233,39 @@ class TestEndpoints:
     def test_right_endpoints(self, index):
         rep = verify_endpoint(entry(index), "right")
         assert rep.ok, rep.checks
+
+    @pytest.mark.parametrize("index", range(1, 9))
+    def test_one_sweep_per_endpoint(self, index, monkeypatch):
+        sweeps = []
+
+        def counting_sweep(lo, hi, depth, *rest):
+            sweeps.append(depth)
+            return sweep(lo, hi, depth, *rest)
+
+        def no_probe(*args):
+            raise AssertionError("verify_endpoint probed a single epsilon")
+
+        monkeypatch.setattr(discovery, "sweep", counting_sweep)
+        monkeypatch.setattr(discovery, "value_at", no_probe)
+        monkeypatch.setattr(discovery, "generate", no_probe)
+        for side in ("left", "right"):
+            rep = verify_endpoint(entry(index), side)
+            assert rep.ok, (side, rep.checks)
+        assert len(sweeps) == 2
+
+    @pytest.mark.parametrize("index", [3, 6])
+    def test_endpoint_off_by_2_pow_minus_70_fails(self, index):
+        pair = entry(index)
+        tiny = QSqrt2.of(Fraction(1, 1 << 70))
+        for side, shifted in (
+                ("left", GPPairEntry(index, pair.xi1 + tiny, pair.xi2, pair.target)),
+                ("left", GPPairEntry(index, pair.xi1 - tiny, pair.xi2, pair.target)),
+                ("right", GPPairEntry(index, pair.xi1, pair.xi2 + tiny, pair.target)),
+                ("right", GPPairEntry(index, pair.xi1, pair.xi2 - tiny, pair.target))):
+            assert not verify_endpoint(shifted, side).ok, side
+            # the endpoint that was not moved still verifies
+            other = "right" if side == "left" else "left"
+            assert verify_endpoint(shifted, other).ok, other
 
     def test_row5_bounds_only(self):
         rep = verify_endpoint(entry(5), "left")

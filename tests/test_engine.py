@@ -11,7 +11,6 @@ from gppairs.engine import (
     DELTA,
     HALF,
     SequenceSpec,
-    certify_pair,
     closed_form_check,
     corollary_check,
     digits_from_trace,
@@ -24,7 +23,8 @@ from gppairs.engine import (
     verify_pair,
 )
 from gppairs.exact import QSqrt2, floor_q, floor_rat_sqrt2, integer_form
-from gppairs import engine, reals
+from gppairs import discovery, engine, reals
+from gppairs.discovery import certify_pair, sweep
 from gppairs.reals import RefinableReal, UndecidableError
 from gppairs.table import THEOREM_TABLE, entry
 
@@ -212,18 +212,24 @@ class TestVerifyPair:
 class TestCertify:
     @pytest.mark.parametrize("index", [1, 2, 3, 4, 6, 7, 8])
     def test_rows_certify(self, index, monkeypatch):
-        calls = []
+        sweeps, traces = [], []
 
-        def counting(spec):
-            calls.append(spec)
+        def counting_sweep(lo, hi, depth, *rest):
+            sweeps.append(depth)
+            return sweep(lo, hi, depth, *rest)
+
+        def counting_generate(spec):
+            traces.append(spec)
             return generate(spec)
 
-        monkeypatch.setattr(engine, "generate", counting)
+        monkeypatch.setattr(discovery, "sweep", counting_sweep)
+        monkeypatch.setattr(discovery, "generate", counting_generate)
+        monkeypatch.setattr(engine, "generate", counting_generate)
         cert = certify_pair(entry(index))
         assert cert.ok, [c for c in cert.checks if not c.passed]
-        # one trace per point: xi1, xi2-delta and at most xi1-delta and xi2
-        assert len(calls) <= 4
-        assert all(s.depth == entry(index).certification_depth for s in calls)
+        # the whole certificate is read off one sweep; no probe traces
+        assert sweeps == [entry(index).certification_depth]
+        assert traces == []
 
     def test_row5_rejected(self):
         with pytest.raises(ValueError):
@@ -245,6 +251,21 @@ class TestCertify:
         shifted = GPPairEntry(3, pair.xi1 + QSqrt2.of(Fraction(1, 100)),
                               pair.xi2, pair.target)
         assert not certify_pair(shifted).ok
+
+    @pytest.mark.parametrize("index", [3, 6])
+    @pytest.mark.parametrize("side", ["xi1", "xi2"])
+    def test_endpoint_off_by_2_pow_minus_70_fails(self, index, side):
+        # closer to the true endpoint than the 2^-60 window margin: a probe
+        # at xi -/+ 2^-60 cannot see it, the exact cells next to xi do
+        from gppairs.table import GPPairEntry
+        pair = entry(index)
+        tiny = QSqrt2.of(Fraction(1, 1 << 70))
+        xi1 = pair.xi1 + tiny if side == "xi1" else pair.xi1
+        xi2 = pair.xi2 + tiny if side == "xi2" else pair.xi2
+        cert = certify_pair(GPPairEntry(index, xi1, xi2, pair.target))
+        assert not cert.ok
+        assert not next(c for c in cert.checks
+                        if c.name == "[xi1, xi2) is one sweep cell").passed
 
 
 class TestClosedForms:
