@@ -266,7 +266,7 @@ def cmd_table(args) -> dict:
         {"name": "theorem table partition", "pass": part.ok,
          "witness": "; ".join(part.problems) or "adjacent, disjoint, covering"},
         {"name": "reconstruction",
-         "pass": True,
+         "pass": not recon.unidentified,
          "witness": f"{len(recon.identified)} identified, "
                     f"{len(recon.unidentified)} unidentified region(s)"},
     ]
@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     tb = sub.add_parser("table", help="reconstruct the pair table")
     tb.add_argument("--depth", type=_at_least(1), default=21)
-    tb.add_argument("--digit-depth", type=int, default=10)
-    tb.add_argument("--l-bound", type=int, default=8)
+    tb.add_argument("--digit-depth", type=_at_least(1), default=10)
+    tb.add_argument("--l-bound", type=_at_least(0), default=8)
     tb.set_defaults(func=cmd_table)
 
     return p

@@ -516,6 +516,10 @@ def reconstruct_table(depth: int, digit_depth: int, l_bound: int,
     """Sweep the domain, group cells by digit prefix, and identify each
     region's target among structured candidates; unmatched regions are
     reported as unidentified."""
+    if digit_depth < 1:
+        raise ValueError("digit_depth must be >= 1")
+    if l_bound < 0:
+        raise ValueError("l_bound must be >= 0")
     if depth < 2 * digit_depth + 1:
         raise ValueError("depth must be >= 2*digit_depth + 1")
     cells = sweep(DOMAIN_LO, DOMAIN_HI, depth, cell_budget)

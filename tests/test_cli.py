@@ -200,6 +200,9 @@ class TestPlotdata:
     (("plotdata", "--figure", "2", "--depth", "0"), "argument --depth: must be at least 1"),
     (("sweep", "--depth", "0"), "argument --depth: must be at least 1"),
     (("table", "--depth", "0"), "argument --depth: must be at least 1"),
+    (("table", "--digit-depth", "0"), "argument --digit-depth: must be at least 1"),
+    (("table", "--digit-depth", "-1"), "argument --digit-depth: must be at least 1"),
+    (("table", "--l-bound", "-1"), "argument --l-bound: must be at least 0"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -273,3 +276,12 @@ class TestMisc:
         assert code == 0
         assert len(rep["regions"]) == 6
         assert all(r["target"] is not None for r in rep["regions"])
+        assert rep["results"][1] == {"name": "reconstruction", "pass": True,
+                                     "witness": "6 identified, 0 unidentified region(s)"}
+
+    def test_table_unidentified_regions_fail(self, capsys):
+        # targets with l <= 2 cannot name rows 3, 4 and 8
+        code, rep = run_json(capsys, "table", "--l-bound", "2")
+        assert code == 2
+        assert rep["results"][1] == {"name": "reconstruction", "pass": False,
+                                     "witness": "3 identified, 3 unidentified region(s)"}

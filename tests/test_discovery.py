@@ -319,6 +319,12 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct_table(10, 10, l_bound=2)
 
+    @pytest.mark.parametrize("digit_depth, l_bound, named", [
+        (0, 8, "digit_depth"), (-1, 8, "digit_depth"), (10, -1, "l_bound")])
+    def test_rejects_empty_digit_depth_and_negative_l_bound(self, digit_depth, l_bound, named):
+        with pytest.raises(ValueError, match=named):
+            reconstruct_table(21, digit_depth, l_bound)
+
 
 class TestMonotonicity:
     @given(st.tuples(

@@ -1,6 +1,9 @@
 """Exact Q(sqrt2) arithmetic: sign, floor, isqrt, text round-trip."""
 
+import copy
 import math
+import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from gppairs.exact import (
     floor_rat_sqrt2,
     format_qsqrt2,
     frac_q,
+    integer_form,
     isqrt,
 )
 from gppairs.reals import exact_value, parse_expr
@@ -22,6 +26,37 @@ from gppairs.table import DOMAIN_HI, DOMAIN_LO
 rationals = st.fractions(
     min_value=Fraction(-10**6), max_value=Fraction(10**6), max_denominator=10**4)
 qsqrt2s = st.builds(QSqrt2, rationals, rationals)
+operands = st.one_of(qsqrt2s, rationals, st.integers(min_value=-10**6, max_value=10**6))
+
+
+# The reference: a + b*sqrt2 as a plain (Fraction, Fraction) pair.
+def ref_of(x) -> tuple[Fraction, Fraction]:
+    return (x.a, x.b) if isinstance(x, QSqrt2) else (Fraction(x), Fraction(0))
+
+
+def ref_div(a, b, c, d):
+    norm = c * c - 2 * d * d
+    return (a * c - 2 * b * d) / norm, (b * c - a * d) / norm
+
+
+REF_OPS = {
+    operator.add: lambda a, b, c, d: (a + c, b + d),
+    operator.sub: lambda a, b, c, d: (a - c, b - d),
+    operator.mul: lambda a, b, c, d: (a * c + 2 * b * d, a * d + b * c),
+    operator.truediv: ref_div,
+}
+
+
+def ref_sign(a: Fraction, b: Fraction) -> int:
+    if a >= 0 and b >= 0:
+        return 1 if (a or b) else 0
+    if a <= 0 and b <= 0:
+        return -1
+    # mixed signs: compare a^2 against 2 b^2, combine with the sign of a
+    lhs, rhs = a * a, 2 * b * b
+    if a > 0:
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
 
 
 class TestIsqrt:
@@ -88,6 +123,84 @@ class TestFieldOps:
         assert QSqrt2.of(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
         with pytest.raises(ValueError):
             QSqrt2.sqrt2().as_fraction()
+
+
+class TestAgainstFractionPairs:
+    @given(st.sampled_from(list(REF_OPS)), qsqrt2s, operands, st.booleans())
+    def test_arithmetic(self, op, x, y, swap):
+        # swapped, an int or Fraction on the left runs the reflected method
+        lhs, rhs = (y, x) if swap else (x, y)
+        (a, b), (c, d) = ref_of(lhs), ref_of(rhs)
+        if op is operator.truediv and c == d == 0:
+            with pytest.raises(ZeroDivisionError):
+                op(lhs, rhs)
+            return
+        out = op(lhs, rhs)
+        assert isinstance(out, QSqrt2)
+        assert (out.a, out.b) == REF_OPS[op](a, b, c, d)
+
+    @given(qsqrt2s, operands)
+    def test_sign_and_comparisons(self, x, y):
+        (a, b), (c, d) = ref_of(x), ref_of(y)
+        assert x.sign() == ref_sign(a, b)
+        s = ref_sign(a - c, b - d)
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+        assert (y < x, y <= x, y > x, y >= x) == (s > 0, s >= 0, s < 0, s <= 0)
+        assert x <= x and x >= x and not x < x and not x > x
+
+    @given(qsqrt2s)
+    def test_negation(self, x):
+        assert ref_of(-x) == (-x.a, -x.b)
+
+
+class TestCanonicalForm:
+    def test_examples(self):
+        half = QSqrt2.of(Fraction(1, 2))
+        assert QSqrt2(Fraction(2, 4), 0) == half
+        assert hash(QSqrt2(Fraction(2, 4), 0)) == hash(half)
+        assert integer_form(half) == (1, 0, 2)
+        assert integer_form(QSqrt2.of(Fraction(-3, 4), Fraction(5, 6))) == (-9, 10, 12)
+        s2 = QSqrt2.sqrt2()
+        for zero in (QSqrt2(), QSqrt2.of(0), s2 - s2, s2 * 0, QSqrt2.of(0) / s2):
+            assert integer_form(zero) == (0, 0, 1)
+            assert zero == QSqrt2() and hash(zero) == hash(QSqrt2())
+
+    @given(st.sampled_from(list(REF_OPS)), qsqrt2s, operands)
+    def test_every_result_is_reduced(self, op, x, y):
+        if op is operator.truediv and ref_of(y) == (0, 0):
+            return
+        for out in (x, op(x, y), -op(x, y)):
+            p, r, q = integer_form(out)
+            assert q > 0 and math.gcd(p, r, q) == 1
+            # the same value built another way has the same triple and hash
+            for same in (QSqrt2(out.a, out.b), (out * 6) / 6, out + 3 - 3):
+                assert same == out and hash(same) == hash(out)
+                assert integer_form(same) == (p, r, q)
+
+    @given(st.sampled_from(list(REF_OPS)), qsqrt2s, qsqrt2s)
+    def test_text_roundtrip(self, op, x, y):
+        out = x if op is operator.truediv and y.sign() == 0 else op(x, y)
+        assert exact_value(parse_expr(str(out))) == out
+
+    @pytest.mark.parametrize("name", ["a", "b", "_p", "_r", "_q", "c"])
+    def test_immutable(self, name):
+        x = QSqrt2.of(1, 2)
+        with pytest.raises(AttributeError):
+            setattr(x, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert x == QSqrt2.of(1, 2)
+
+    def test_repr_copy_pickle(self):
+        x = QSqrt2.of(Fraction(-1, 2), 3)
+        assert repr(x) == "QSqrt2(a=Fraction(-1, 2), b=Fraction(3, 1))"
+        assert copy.deepcopy(x) == x
+        assert pickle.loads(pickle.dumps(x)) == x
+
+    def test_not_equal_to_rationals(self):
+        # equality is between QSqrt2 values only, as for the former dataclass
+        assert QSqrt2.of(1) != 1
+        assert QSqrt2.of(Fraction(1, 2)) != Fraction(1, 2)
 
 
 class TestFloor:
