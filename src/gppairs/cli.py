@@ -173,8 +173,11 @@ def _figure2_rows(lo: Fraction, hi: Fraction, depth: int, samples: int) -> list[
     """Sampled v_depth on [lo, hi], then its exact jumps: every breakpoint
     of the sweep, which is (c/2)*sqrt2 - d and belongs to its upper cell."""
     grid = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
-    rows = [{"kind": "sample", "epsilon": str(g), "epsilon_decimal": f"{float(g):.6f}",
-             "v": value_at(g, depth)} for g in grid]
+    # |g| in millionths, rounded exactly with ties to even
+    units = [round(abs(g) * 10**6) for g in grid]
+    rows = [{"kind": "sample", "epsilon": str(g),
+             "epsilon_decimal": f"{'-' if g < 0 else ''}{u // 10**6}.{u % 10**6:06d}",
+             "v": value_at(g, depth)} for g, u in zip(grid, units)]
     cells = sweep(QSqrt2.of(lo), QSqrt2.of(hi), depth)
     for below, at in zip(cells, cells[1:]):
         c, d = halfint_form(at.lo)
@@ -354,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="full-domain constant-prefix cells")
     sw.add_argument("--depth", type=_at_least(1), default=21)
-    sw.add_argument("--cell-budget", type=int, default=10**6)
+    sw.add_argument("--cell-budget", type=_at_least(1), default=10**6)
     sw.add_argument("--csv", action="store_true")
     sw.set_defaults(func=cmd_sweep)
 

@@ -8,13 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .engine import (DELTA, SequenceSpec, SequenceTrace, _dyadic_floors, digits_from_trace,
-                     digits_of_target, exact_step, generate)
-from .exact import QSqrt2, floor_rat_sqrt2, integer_form, isqrt
+                     exact_step, generate)
+from .exact import QSqrt2, floor_q, floor_rat_sqrt2, integer_form, isqrt
 from .reals import RealInterval
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
+
+HALFINT_BOUND = 1 << 34  # largest |c|, |d| that identify_halfint_sqrt2 accepts
+COEFF_BOUND = 1 << 34  # largest |coefficient| that min_poly_deg2 accepts
 
 
 class SweepBudgetError(RuntimeError):
@@ -198,7 +202,7 @@ def _sqrt2_half_gap(bound: int, threshold: Fraction) -> bool:
     return False
 
 
-def identify_halfint_sqrt2(x: RealInterval, bound: int = 1 << 34) -> tuple[int, int]:
+def identify_halfint_sqrt2(x: RealInterval) -> tuple[int, int]:
     """The unique (c, d) with (c/2)*sqrt2 - d inside the interval.
 
     Uses an exact integer-relation search on (sqrt2/2, 1, x); the candidate
@@ -221,11 +225,11 @@ def identify_halfint_sqrt2(x: RealInterval, bound: int = 1 << 34) -> tuple[int, 
                 c, d = row[0], -row[1]
             else:
                 c, d = -row[0], row[1]
-            if abs(c) > bound or abs(d) > bound:
+            if abs(c) > HALFINT_BOUND or abs(d) > HALFINT_BOUND:
                 continue
             cand = QSqrt2(Fraction(-d), Fraction(c, 2))
             if x.contains(cand):
-                if _sqrt2_half_gap(bound, x.width):
+                if _sqrt2_half_gap(HALFINT_BOUND, x.width):
                     raise IdentificationError(
                         "interval admits multiple (c,d) candidates; tighten it")
                 return c, d
@@ -248,7 +252,7 @@ class QuadPoly:
         return f"{self.a2}*x^2 + {self.a1}*x + {self.a0}"
 
 
-def min_poly_deg2(x: RealInterval, coeff_bound: int = 1 << 34) -> QuadPoly:
+def min_poly_deg2(x: RealInterval) -> QuadPoly:
     """Integer quadratic annihilating the enclosed value, by integer-relation
     search on (x^2, x, 1); exact root membership is verified when the root
     lies in Q(sqrt2)."""
@@ -266,7 +270,7 @@ def min_poly_deg2(x: RealInterval, coeff_bound: int = 1 << 34) -> QuadPoly:
             a2, a1, a0 = row[0], row[1], row[2]
             if (a2, a1, a0) == (0, 0, 0):
                 continue
-            if max(abs(a2), abs(a1), abs(a0)) > coeff_bound:
+            if max(abs(a2), abs(a1), abs(a0)) > COEFF_BOUND:
                 continue
             if a2 < 0 or (a2 == 0 and a1 < 0):
                 a2, a1, a0 = -a2, -a1, -a0
@@ -497,44 +501,42 @@ class ReconstructionReport:
         return tuple(r for r in self.regions if r.target is None)
 
 
-def _candidate_targets(l_bound: int) -> list[AlgebraicTarget]:
-    """All structured targets with l <= l_bound plus the bare sqrt2."""
-    out = [AlgebraicTarget(1, 0, 0)]  # t = sqrt2, the direct case
-    for l in range(0, l_bound + 1):
-        two_l1 = 1 << (l + 1)
-        for alpha in range(1, 2 * two_l1, 2):
-            beta = two_l1 - alpha
-            t = AlgebraicTarget(alpha, beta, l)
-            v = t.value()
-            if v.sign() >= 0 and (v - 2).sign() < 0:
-                out.append(t)
-    return out
+def _first_target(digits: tuple[int, ...], l_bound: int) -> AlgebraicTarget | None:
+    """The first of sqrt2, then (alpha*sqrt2 - beta)/2^l with alpha odd and
+    alpha + beta = 2^(l+1) by l <= l_bound and alpha, whose digits begin with
+    `digits`; None if none does.  The n digits are the bits of
+    p = floor(t*2^(n-1)), and t = alpha*(1+sqrt2)/2^l - 2, so for each l the
+    matching alpha fill [m*s, (m+1)*s) with m = p + 2^n and
+    s = (sqrt2-1)*2^(l+1-n): both ends are irrational, and t is in [0, 2)."""
+    if any(d not in (0, 1) for d in digits):
+        return None
+    n, p = len(digits), int("".join(map(str, digits)), 2)
+    if floor_rat_sqrt2(1 << (n - 1), 1) == p:
+        return AlgebraicTarget(1, 0, 0)  # t = sqrt2, the direct case
+    m = p + (1 << n)
+    for l in range(l_bound + 1):
+        s = QSqrt2(-1, 1) * Fraction(2) ** (l + 1 - n)
+        lo = floor_q(s * m) + 1
+        alpha = lo | 1
+        if alpha <= floor_q(s * (m + 1)):
+            return AlgebraicTarget(alpha, (1 << (l + 1)) - alpha, l)
+    return None
 
 
-def reconstruct_table(depth: int, digit_depth: int, l_bound: int,
-                      cell_budget: int = 10**6) -> ReconstructionReport:
-    """Sweep the domain, group cells by digit prefix, and identify each
-    region's target among structured candidates; unmatched regions are
-    reported as unidentified."""
+def reconstruct_table(depth: int, digit_depth: int, l_bound: int) -> ReconstructionReport:
+    """Sweep the domain, group cells by digit prefix, and name each region's
+    target by a direct solve for its first (l, alpha); regions that no
+    target with l <= l_bound matches are reported as unidentified."""
     if digit_depth < 1:
         raise ValueError("digit_depth must be >= 1")
     if l_bound < 0:
         raise ValueError("l_bound must be >= 0")
     if depth < 2 * digit_depth + 1:
         raise ValueError("depth must be >= 2*digit_depth + 1")
-    cells = sweep(DOMAIN_LO, DOMAIN_HI, depth, cell_budget)
-    regions: list[tuple[QSqrt2, QSqrt2, tuple[int, ...]]] = []
-    for cell in cells:
-        dp = digits_from_trace(SequenceTrace(cell.prefix), digit_depth).digits
-        if regions and regions[-1][2] == dp:
-            regions[-1] = (regions[-1][0], cell.hi, dp)
-        else:
-            regions.append((cell.lo, cell.hi, dp))
-
-    candidates = _candidate_targets(l_bound)
-    cand_digits = [(t, digits_of_target(t, digit_depth).digits) for t in candidates]
-    out = []
-    for (lo, hi, dp) in regions:
-        match = next((t for t, dd in cand_digits if dd == dp), None)
-        out.append(Region(lo, hi, dp, match))
-    return ReconstructionReport(tuple(out))
+    runs = groupby(sweep(DOMAIN_LO, DOMAIN_HI, depth),
+                   lambda c: digits_from_trace(SequenceTrace(c.prefix), digit_depth).digits)
+    regions = []
+    for dp, run in runs:
+        cells = list(run)
+        regions.append(Region(cells[0].lo, cells[-1].hi, dp, _first_target(dp, l_bound)))
+    return ReconstructionReport(tuple(regions))

@@ -89,7 +89,6 @@ def generate(spec: SequenceSpec) -> SequenceTrace:
 @dataclass(frozen=True)
 class DigitStream:
     digits: tuple[int, ...]
-    source: str
 
     def anomalies(self) -> list[tuple[int, int]]:
         """(index, digit) pairs with digit outside {0, 1}; 1-based index."""
@@ -106,10 +105,7 @@ def digits_from_trace(trace: SequenceTrace, count: int | None = None) -> DigitSt
         raise ValueError(f"trace depth {len(trace.values)} supports only "
                          f"{avail} digits, requested {count}")
     v = trace.values
-    return DigitStream(
-        tuple(v[2 * n] - 2 * v[2 * n - 2] for n in range(1, count + 1)),
-        source="trace",
-    )
+    return DigitStream(tuple(v[2 * n] - 2 * v[2 * n - 2] for n in range(1, count + 1)))
 
 
 def digits_of_target(t: AlgebraicTarget | QSqrt2, count: int) -> DigitStream:
@@ -120,8 +116,7 @@ def digits_of_target(t: AlgebraicTarget | QSqrt2, count: int) -> DigitStream:
     # floor(floor(y)/2^j) = floor(y/2^j), so floor(t 2^{n-1}) = F >> (count-n)
     # with F = floor(t 2^{count-1}), and d_n is bit count-n of F
     f = floor_q(x * Fraction(2) ** (count - 1))
-    return DigitStream(tuple((f >> (count - n)) & 1 for n in range(1, count + 1)),
-                       source="target")
+    return DigitStream(tuple((f >> (count - n)) & 1 for n in range(1, count + 1)))
 
 
 @dataclass(frozen=True)

@@ -154,9 +154,6 @@ class QSqrt2:
     def __ge__(self, other: "QSqrt2 | int | Fraction") -> bool:
         return self._cmp(other) >= 0
 
-    def is_rational(self) -> bool:
-        return self._r == 0
-
     def as_fraction(self) -> Fraction:
         if self._r != 0:
             raise ValueError(f"{self} is irrational")

@@ -154,6 +154,21 @@ class TestPlotdata:
         for a, b in zip(jumps, jumps[1:]):
             assert int(a["v_at"]) == int(b["v_below"])
 
+    @pytest.mark.parametrize("range_, decimals", [
+        # exact decimal ties round to even; their binary approximations
+        # would give 0.300001 and 0.449999
+        ("0.3000005:0.5000005", ["0.300000", "0.500000"]),
+        ("0.4499995:0.5", ["0.450000", "0.500000"]),
+        ("-0.0000005:0.0000015", ["-0.000000", "0.000002"]),
+        ("-1/3:2/3", ["-0.333333", "0.666667"]),
+    ])
+    def test_figure2_sample_decimals_round_exactly(self, capsys, range_, decimals):
+        code, out, _ = run(capsys, "plotdata", "--figure", "2", "--csv",
+                           f"--range={range_}", "--samples", "2", "--depth", "10")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["epsilon_decimal"] for r in rows if r["kind"] == "sample"] == decimals
+
     @pytest.mark.parametrize("argv", [
         ("--range", "abc"),
         ("--range", ""),
@@ -203,6 +218,8 @@ class TestPlotdata:
     (("table", "--digit-depth", "0"), "argument --digit-depth: must be at least 1"),
     (("table", "--digit-depth", "-1"), "argument --digit-depth: must be at least 1"),
     (("table", "--l-bound", "-1"), "argument --l-bound: must be at least 0"),
+    (("sweep", "--cell-budget", "0"), "argument --cell-budget: must be at least 1"),
+    (("sweep", "--cell-budget", "-5"), "argument --cell-budget: must be at least 1"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)

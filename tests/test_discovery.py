@@ -24,10 +24,11 @@ from gppairs.discovery import (
     value_at,
     verify_endpoint,
 )
-from gppairs.engine import SequenceSpec, generate
+from gppairs.engine import SequenceSpec, digits_of_target, generate
 from gppairs.exact import QSqrt2
 from gppairs.reals import RealInterval
-from gppairs.table import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, GPPairEntry, entry, halfint
+from gppairs.table import (DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, AlgebraicTarget, GPPairEntry,
+                           entry, halfint)
 
 
 def _enclose(x: QSqrt2, bits: int) -> RealInterval:
@@ -324,6 +325,52 @@ class TestReconstruct:
     def test_rejects_empty_digit_depth_and_negative_l_bound(self, digit_depth, l_bound, named):
         with pytest.raises(ValueError, match=named):
             reconstruct_table(21, digit_depth, l_bound)
+
+
+def _candidate_targets(l_bound: int) -> list[AlgebraicTarget]:
+    """Every structured target with l <= l_bound in [0, 2), after sqrt2: the
+    list that reconstruct_table once scanned, kept here as the reference."""
+    out = [AlgebraicTarget(1, 0, 0)]
+    for l in range(l_bound + 1):
+        two_l1 = 1 << (l + 1)
+        for alpha in range(1, 2 * two_l1, 2):
+            t = AlgebraicTarget(alpha, two_l1 - alpha, l)
+            if t.value().sign() >= 0 and (t.value() - 2).sign() < 0:
+                out.append(t)
+    return out
+
+
+def _first_match(l_bound: int, count: int) -> dict:
+    """Digit prefix -> the first candidate whose digits it is."""
+    first = {}
+    for t in _candidate_targets(l_bound):
+        first.setdefault(digits_of_target(t, count).digits, t)
+    return first
+
+
+class TestFirstTarget:
+    def test_matches_candidate_scan(self):
+        rng = random.Random(9)
+        for count in range(1, 13):
+            refs = [_first_match(l_bound, count) for l_bound in range(9)]
+            prefixes = set(refs[-1])
+            prefixes |= {tuple(rng.randint(0, 1) for _ in range(count)) for _ in range(40)}
+            # digits outside {0, 1}, as at a counterexample epsilon
+            prefixes |= {(1,) * (count - 1) + (2,), (-1,) + (0,) * (count - 1)}
+            for l_bound, ref in enumerate(refs):
+                for dp in prefixes:
+                    assert discovery._first_target(dp, l_bound) == ref.get(dp), (dp, l_bound)
+
+    def test_row_5_holds_an_l_279_region(self):
+        # beyond any enumeration of the 2^(l+1) candidates per l: the region
+        # right of row 4 inside row 5's interval is named by l = 279
+        rep = reconstruct_table(601, 300, 300)
+        assert not rep.unidentified
+        assert [r.target.l for r in rep.regions] == [0, 3, 5, 7, 279, 0, 29, 15, 1]
+        deep = rep.regions[4]
+        assert deep.lo == entry(4).xi2 == halfint(309, 218)
+        assert digits_of_target(deep.target, 300).digits == deep.digit_prefix
+        assert deep.target.structure_ok()
 
 
 class TestMonotonicity:
