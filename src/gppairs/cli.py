@@ -39,7 +39,8 @@ from .discovery import (
     verify_endpoint,
 )
 from .exact import QSqrt2
-from .reals import ParseError, RefinableReal, UndecidableError, exact_value, parse_expr
+from .reals import (ParseError, RefinableReal, UndecidableError, exact_value, format_expr,
+                    parse_expr)
 from .table import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, entry, halfint
 
 
@@ -58,10 +59,7 @@ class EpsilonInput:
         return RefinableReal(self.expression)
 
     def canonical(self) -> str:
-        if self.exact is not None:
-            return str(self.exact)
-        from .reals import format_expr
-        return format_expr(self.expression)
+        return format_expr(self.expression) if self.exact is None else str(self.exact)
 
 
 # Each cmd_* returns its report body: "inputs", "results", optional
@@ -285,8 +283,25 @@ def cmd_table(args) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1 with one `error:` line, like every other bad
-    input; argparse's own status 2 is the CLI's "anomaly found"."""
+    """Usage errors exit 1 with one `error:` line (argparse's own status 2
+    is the CLI's "anomaly found"), and a value starting with '-' reads as
+    its `=` form (`--epsilon=-1/3`) unless it names one of the options."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        vars(self).setdefault("option_nargs", {}).update(  # None: one value
+            dict.fromkeys(action.option_strings, action.nargs))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        opts, joined = self.option_nargs, []
+        for arg in sys.argv[1:] if args is None else args:
+            named = any(o == arg or arg[:2] == "--" and o.startswith(arg) for o in opts)
+            if joined and arg[:1] == "-" and not named and opts.get(joined[-1], 0) is None:
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message):
         self.exit(1, f"error: {message}\n")

@@ -15,17 +15,15 @@ from .engine import (DELTA, SequenceSpec, SequenceTrace, _dyadic_floors, digits_
                      exact_step, generate)
 from .exact import QSqrt2, floor_q, floor_rat_sqrt2, integer_form, isqrt
 from .reals import RealInterval
-from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
+from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, halfint
 
 HALFINT_BOUND = 1 << 34  # largest |c|, |d| that identify_halfint_sqrt2 accepts
 COEFF_BOUND = 1 << 34  # largest |coefficient| that min_poly_deg2 accepts
 
 
 class SweepBudgetError(RuntimeError):
-    def __init__(self, depth_reached: int, cells: int, budget: int):
-        super().__init__(
-            f"cell budget {budget} exceeded at depth {depth_reached} ({cells} cells)")
-        self.depth_reached = depth_reached
+    def __init__(self, depth: int, cells: int, budget: int):
+        super().__init__(f"cell budget {budget} exceeded at depth {depth} ({cells} cells)")
 
 
 class IdentificationError(ValueError):
@@ -47,50 +45,36 @@ class SweepCell:
 
 def halfint_form(x: QSqrt2) -> tuple[int, int] | None:
     """(c, d) with x = (c/2)*sqrt2 - d, or None if x is not of that form."""
-    c = x.b * 2
-    d = -x.a
-    if c.denominator == 1 and d.denominator == 1:
-        return int(c), int(d)
-    return None
+    p, r, q = integer_form(x)
+    return (2 * r // q, -p // q) if p % q == 0 == 2 * r % q else None
 
 
 def sweep(lo: QSqrt2, hi: QSqrt2, depth: int, cell_budget: int = 10**6) -> list[SweepCell]:
-    """Exact partition of [lo, hi) into maximal constant-prefix cells.
-
-    Breakpoints arise only at odd steps, at eps = (m/2)*sqrt2 - v for the
-    integers m interior to the image interval; even steps add no epsilon
-    dependence.  A breakpoint belongs to its upper cell (half-open cells,
-    floor jumps are right-continuous here).
-    """
+    """Exact partition of [lo, hi) into maximal constant-prefix cells, walked
+    from lo.  Odd step 2k+1 raises v[2k+1] by one at jumps[k] =
+    ((v[2k+1]+1)/2)*sqrt2 - v[2k], so the cell [eps, ...) ends at the least
+    jump of the trace at eps (or at hi), where the next cell starts: it keeps
+    the values before the first step that jumps there, and steps on."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if not (lo - hi).sign() < 0:
+    if not lo < hi:
         raise ValueError("empty sweep domain")
-    cells: list[tuple[QSqrt2, QSqrt2, list[int]]] = [(lo, hi, [1])]
-    for n in range(1, depth):
-        if n % 2 == 0:
-            for cell in cells:
-                cell[2].append(exact_step(cell[2][-1], n, None))
-            continue
-        new: list[tuple[QSqrt2, QSqrt2, list[int]]] = []
-        for (clo, chi, prefix) in cells:
-            v = prefix[-1]
-            cur_lo = clo
-            cur_m = exact_step(v, n, integer_form(clo))
-            while True:
-                split = QSqrt2(Fraction(-v), Fraction(cur_m + 1, 2))
-                if not (split - chi).sign() < 0:
-                    break
-                new.append((cur_lo, split, prefix + [cur_m]))
-                cur_lo = split
-                cur_m += 1
-                if len(new) > cell_budget:
-                    raise SweepBudgetError(n + 1, len(new), cell_budget)
-            new.append((cur_lo, chi, prefix + [cur_m]))
-        cells = new
+    cells, v, jumps = [], [1], []
+    while True:
+        form = integer_form(lo)
+        for n in range(len(v), depth):
+            v.append(exact_step(v[-1], n, form))  # form is unused on even steps
+            if n % 2:
+                jumps.append(halfint(v[-1] + 1, v[-2]))
+        nxt = min([hi, *jumps])
+        cells.append(SweepCell(lo, nxt, tuple(v)))
         if len(cells) > cell_budget:
-            raise SweepBudgetError(n + 1, len(cells), cell_budget)
-    return [SweepCell(c[0], c[1], tuple(c[2])) for c in cells]
+            raise SweepBudgetError(depth, len(cells), cell_budget)
+        if nxt == hi:
+            return cells
+        k = jumps.index(nxt)
+        del v[2 * k + 1:], jumps[k:]
+        lo = nxt
 
 
 def value_at(epsilon, index: int) -> int:

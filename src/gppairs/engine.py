@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from .reals import RefinableReal, UndecidableError, certified_floor
-from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry
+from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, entry
 
 HALF = Fraction(1, 2)
 SQRT2 = QSqrt2.sqrt2()
@@ -167,7 +167,6 @@ def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
     Row 5 evaluates both the printed even form floor(t*2^{k-2})+2^{k-2} and
     the shift-corrected floor(t*2^{k-1})+2^{k-1}, reporting each.
     """
-    from .table import entry
     pair = entry(index)
     t = pair.target
     ks = sorted(k_range)
@@ -360,15 +359,15 @@ def normality_probe(multiplier: int, depth: int) -> NormalityReport:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     offset = 1 if multiplier == 1 else 2
-    best_min = best_max = None
-    argmin = argmax = 0
-    for k in range(1, depth + 1):
-        e = k - offset
-        coeff = Fraction(multiplier * (1 << e)) if e >= 0 else Fraction(multiplier, 1 << -e)
-        f = frac_q(QSqrt2(Fraction(0), coeff))
-        if best_min is None or (f - best_min).sign() < 0:
+    t = QSqrt2.of(0, multiplier)
+    fl = _dyadic_floors(t, max(depth - offset, 0))  # one floor_q; e = -1 is a wider shift
+    fracs = (t * Fraction(2) ** e - fl(e) for e in range(1 - offset, depth + 1 - offset))
+    best_min = best_max = next(fracs)
+    argmin = argmax = 1
+    for k, f in enumerate(fracs, start=2):
+        if f < best_min:
             best_min, argmin = f, k
-        if best_max is None or (f - best_max).sign() > 0:
+        if f > best_max:
             best_max, argmax = f, k
     return NormalityReport(multiplier, offset, depth, best_min, best_max,
                            argmin, argmax)

@@ -285,7 +285,8 @@ class _Parser:
             if self.text.startswith(name, self.pos):
                 self.pos += len(name)
                 return ("const", name)
-        raise ParseError(f"unexpected character {c!r}", self.pos)
+        msg = f"unexpected character {c!r}" if c else "unexpected end of input"
+        raise ParseError(msg, self.pos)
 
     def parse(self) -> Expr:
         node = self.expr()

@@ -256,6 +256,27 @@ def test_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: gppairs")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("digits", "--epsilon", "-1/3", "--count", "3"), "--epsilon"),
+    (("digits", "--epsilon", "-pi", "--count", "3"), "--epsilon"),
+    (("plotdata", "--figure", "2", "--range", "-1/3:2/3"), "--range"),
+])
+def test_value_starting_with_minus_reads_as_its_equals_form(capsys, argv, flag):
+    i = argv.index(flag)
+    equals_form = (*argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2:])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == run(capsys, *equals_form)
+    assert out.startswith("{")  # a report, not "expected one argument"
+
+
+@pytest.mark.parametrize("name", ["--count", "--co", "-h"])
+def test_option_name_is_not_read_as_a_value(capsys, name):
+    # "--co" is argparse's abbreviation of --count
+    code, out, err = run(capsys, "digits", "--epsilon", name, "3")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --epsilon: expected one argument\n"
+
+
 class TestMisc:
     def test_counterexample(self, capsys):
         code, rep = run_json(capsys, "counterexample", "--epsilon", "0.7073")

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gppairs import discovery
@@ -24,8 +24,8 @@ from gppairs.discovery import (
     value_at,
     verify_endpoint,
 )
-from gppairs.engine import SequenceSpec, digits_of_target, generate
-from gppairs.exact import QSqrt2
+from gppairs.engine import SequenceSpec, digits_of_target, exact_step, generate
+from gppairs.exact import QSqrt2, integer_form
 from gppairs.reals import RealInterval
 from gppairs.table import (DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, AlgebraicTarget, GPPairEntry,
                            entry, halfint)
@@ -39,7 +39,45 @@ def _enclose(x: QSqrt2, bits: int) -> RealInterval:
     return RealInterval(Fraction(n, s), Fraction(n + 1, s), bits)
 
 
+def _splitting_sweep(lo: QSqrt2, hi: QSqrt2, depth: int) -> list[tuple]:
+    """Reference: the older sweep, which keeps every cell of [lo, hi) alive
+    and splits each one at the jump points of every odd step."""
+    cells = [(lo, hi, [1])]
+    for n in range(1, depth):
+        if n % 2 == 0:
+            for _, _, prefix in cells:
+                prefix.append(exact_step(prefix[-1], n, None))
+            continue
+        new = []
+        for clo, chi, prefix in cells:
+            v = prefix[-1]
+            m = exact_step(v, n, integer_form(clo))
+            while halfint(m + 1, v) < chi:
+                new.append((clo, halfint(m + 1, v), prefix + [m]))
+                clo, m = halfint(m + 1, v), m + 1
+            new.append((clo, chi, prefix + [m]))
+        cells = new
+    return [(clo, chi, tuple(prefix)) for clo, chi, prefix in cells]
+
+
+_window_ends = st.fractions(min_value=-3, max_value=3, max_denominator=1000)
+
+
 class TestSweep:
+    @settings(max_examples=100, deadline=None)
+    @given(lo=_window_ends,
+           width=st.fractions(min_value=0, max_value=4, max_denominator=1000).filter(bool),
+           depth=st.integers(1, 120))
+    @example(lo=Fraction(-1, 3), width=Fraction(10, 3), depth=101)
+    @example(lo=Fraction(-2), width=Fraction(4), depth=120)
+    @example(lo=Fraction(3, 10), width=Fraction(2, 5), depth=120)
+    @example(lo=Fraction(1, 2), width=Fraction(1, 1000), depth=1)
+    def test_walk_matches_splitting_sweep(self, lo, width, depth):
+        # inside the domain, across it and outside it, negative eps included
+        a, b = QSqrt2.of(lo), QSqrt2.of(lo + width)
+        got = [(c.lo, c.hi, c.prefix) for c in sweep(a, b, depth)]
+        assert got == _splitting_sweep(a, b, depth)
+
     def test_depth2_splits_at_sqrt2_minus_1(self):
         cells = sweep(DOMAIN_LO, DOMAIN_HI, 2)
         assert len(cells) == 2

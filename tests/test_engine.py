@@ -22,7 +22,7 @@ from gppairs.engine import (
     normality_probe,
     verify_pair,
 )
-from gppairs.exact import QSqrt2, floor_q, floor_rat_sqrt2, integer_form
+from gppairs.exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from gppairs import discovery, engine, reals
 from gppairs.discovery import certify_pair, sweep
 from gppairs.reals import RefinableReal, UndecidableError
@@ -322,6 +322,24 @@ class TestNormality:
     def test_multiplier_validation(self):
         with pytest.raises(ValueError):
             normality_probe(2, 10)
+
+    @pytest.mark.parametrize("multiplier", [1, 3])
+    def test_matches_fractional_part_per_k(self, multiplier):
+        # reference: one frac_q per k, as the definition reads
+        offset = 1 if multiplier == 1 else 2
+        fracs = [frac_q(QSqrt2(0, Fraction(multiplier) * Fraction(2) ** (k - offset)))
+                 for k in range(1, 301)]
+        for depth in (1, 2, 3, 50, 300):
+            rep = normality_probe(multiplier, depth)
+            head = fracs[:depth]
+            assert rep.min_frac == min(head) and rep.max_frac == max(head)
+            assert (rep.argmin, rep.argmax) == (head.index(min(head)) + 1,
+                                                head.index(max(head)) + 1)
+
+    def test_records_602_and_334_at_k_1000(self):
+        # offset 1: k = 603 and 335 are the records of {sqrt2*2^k} at 602 and 334
+        rep = normality_probe(1, 1000)
+        assert (rep.argmin, rep.argmax) == (603, 335)
 
 
 class TestMultipleSqrt2Digit:

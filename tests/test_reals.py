@@ -119,6 +119,11 @@ class TestGrammar:
         with pytest.raises(ParseError):
             parse_expr(bad)
 
+    @pytest.mark.parametrize("text, pos", [("", 0), ("1+", 2)])
+    def test_end_of_input_is_named(self, text, pos):
+        with pytest.raises(ParseError, match=f"^unexpected end of input at position {pos}$"):
+            parse_expr(text)
+
     def test_format_roundtrip(self):
         for text in ["1-pi^2/e^3", "0.2928", "(1+sqrt2)/2", "2^-2"]:
             node = parse_expr(text)
