@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("digits", help="digit stream for an epsilon")
     d.add_argument("--epsilon", required=True)
-    d.add_argument("--count", type=_at_least(0), required=True)
+    d.add_argument("--count", type=_at_least(1), required=True)
     d.add_argument("--max-bits", type=_MAX_BITS, default=4096)
     d.set_defaults(func=cmd_digits)
 

@@ -6,14 +6,14 @@ degree-2 minimal polynomials, and partition validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
+from typing import NamedTuple
 
 from .engine import (DELTA, SequenceSpec, SequenceTrace, _dyadic_floors, digits_from_trace,
                      exact_step, generate)
-from .exact import QSqrt2, floor_q, floor_rat_sqrt2, integer_form, isqrt
+from .exact import QSqrt2, _sign, floor_q, floor_rat_sqrt2, integer_form, isqrt
 from .reals import RealInterval
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, halfint
 
@@ -30,8 +30,7 @@ class IdentificationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepCell:
+class SweepCell(NamedTuple):
     """Maximal half-open interval [lo, hi) on which v_1..v_N is constant."""
 
     lo: QSqrt2
@@ -51,29 +50,46 @@ def halfint_form(x: QSqrt2) -> tuple[int, int] | None:
 
 def sweep(lo: QSqrt2, hi: QSqrt2, depth: int, cell_budget: int = 10**6) -> list[SweepCell]:
     """Exact partition of [lo, hi) into maximal constant-prefix cells, walked
-    from lo.  Odd step 2k+1 raises v[2k+1] by one at jumps[k] =
-    ((v[2k+1]+1)/2)*sqrt2 - v[2k], so the cell [eps, ...) ends at the least
-    jump of the trace at eps (or at hi), where the next cell starts: it keeps
-    the values before the first step that jumps there, and steps on."""
+    from lo.  Odd step 2k+1 raises v[2k+1] by one at the jump
+    (c_k/2)*sqrt2 - d_k with c_k = v[2k+1]+1 and d_k = v[2k], so the cell
+    [eps, ...) ends at the least jump of the trace at eps (or at hi, which
+    wins a tie), where the next cell starts: it keeps the values before the
+    first step that jumps there, and steps on.
+
+    Jumps stay integer pairs.  (c/2)*sqrt2 - d < (c'/2)*sqrt2 - d' iff
+    2(d'-d) + (c-c')*sqrt2 < 0, one integer sign test, so best[k] is the
+    index of the least of jumps 0..k, and cutting the trace back to step
+    2k+1 leaves best[:k] valid.  Only a chosen cell end becomes a QSqrt2."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if not lo < hi:
         raise ValueError("empty sweep domain")
-    cells, v, jumps = [], [1], []
+    p, r, q = integer_form(hi)
+    cells, v, cs, ds, best = [], [1], [], [], []
     while True:
         form = integer_form(lo)
         for n in range(len(v), depth):
             v.append(exact_step(v[-1], n, form))  # form is unused on even steps
             if n % 2:
-                jumps.append(halfint(v[-1] + 1, v[-2]))
-        nxt = min([hi, *jumps])
+                c, d, k = v[-1] + 1, v[-2], len(cs)
+                if best and _sign(2 * (ds[best[-1]] - d), c - cs[best[-1]]) >= 0:
+                    k = best[-1]
+                cs.append(c)
+                ds.append(d)
+                best.append(k)
+        nxt = hi
+        if best:
+            # the least jump is below hi = (p + r*sqrt2)/q, q > 0, iff
+            # -2(q*d + p) + (q*c - 2r)*sqrt2 < 0
+            k = best[-1]
+            if _sign(-2 * (q * ds[k] + p), q * cs[k] - 2 * r) < 0:
+                nxt = halfint(cs[k], ds[k])
         cells.append(SweepCell(lo, nxt, tuple(v)))
         if len(cells) > cell_budget:
             raise SweepBudgetError(depth, len(cells), cell_budget)
-        if nxt == hi:
+        if nxt is hi:
             return cells
-        k = jumps.index(nxt)
-        del v[2 * k + 1:], jumps[k:]
+        del v[2 * k + 1:], cs[k:], ds[k:], best[k:]
         lo = nxt
 
 
@@ -221,8 +237,7 @@ def identify_halfint_sqrt2(x: RealInterval) -> tuple[int, int]:
         "no (c/2)*sqrt2 - d candidate found in the interval; tighten it")
 
 
-@dataclass(frozen=True)
-class QuadPoly:
+class QuadPoly(NamedTuple):
     """Content-free integer quadratic a2 x^2 + a1 x + a0 with a2 > 0."""
 
     a2: int
@@ -291,15 +306,13 @@ def _verify_quad_root(poly: QuadPoly, x: RealInterval) -> None:
     raise IdentificationError(f"{poly} has no root inside the enclosure")
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: str = ""
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     pair_index: int
     checks: tuple[CheckResult, ...]
     comp_target: int | None = None
@@ -401,8 +414,7 @@ def certify_pair(pair: GPPairEntry) -> Certificate:
     return Certificate(pair.index, tuple(checks), comp_target, tuple(notes))
 
 
-@dataclass(frozen=True)
-class EndpointReport:
+class EndpointReport(NamedTuple):
     pair_index: int
     side: str
     checks: tuple[tuple[str, bool, str], ...]
@@ -437,8 +449,7 @@ def verify_endpoint(pair: GPPairEntry, side: str) -> EndpointReport:
     return EndpointReport(pair.index, side, tuple(checks))
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 
@@ -464,16 +475,14 @@ def validate_partition(entries) -> PartitionReport:
     return PartitionReport(not problems, tuple(problems))
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     lo: QSqrt2
     hi: QSqrt2
     digit_prefix: tuple[int, ...]
     target: AlgebraicTarget | None  # None: unidentified
 
 
-@dataclass(frozen=True)
-class ReconstructionReport:
+class ReconstructionReport(NamedTuple):
     regions: tuple[Region, ...]
 
     @property

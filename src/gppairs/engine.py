@@ -9,8 +9,8 @@ floor(sqrt2*(v_n + 1/2)) for even n.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from .reals import RefinableReal, UndecidableError, certified_floor
@@ -29,22 +29,52 @@ def _as_eps(eps) -> QSqrt2 | RefinableReal:
     return eps
 
 
-@dataclass(frozen=True)
 class SequenceSpec:
-    """Recurrence configuration: offset eps on odd steps, 1/2 on even ones."""
+    """Recurrence configuration: offset eps on odd steps, 1/2 on even ones.
 
-    epsilon: QSqrt2 | RefinableReal
-    depth: int
-    max_bits: int = 4096
+    A rational epsilon is stored as a QSqrt2.  Values are immutable:
+    setting an attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _as_eps(self.epsilon))
-        if self.depth < 1:
+    __slots__ = ("epsilon", "depth", "max_bits")
+
+    def __init__(self, epsilon: QSqrt2 | RefinableReal | int | Fraction, depth: int,
+                 max_bits: int = 4096):
+        if depth < 1:
             raise ValueError("depth must be >= 1")
+        _set_epsilon(self, _as_eps(epsilon))
+        _set_depth(self, depth)
+        _set_max_bits(self, max_bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SequenceSpec is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SequenceSpec is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return self.epsilon, self.depth, self.max_bits
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SequenceSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"SequenceSpec(epsilon={self.epsilon!r}, depth={self.depth!r}, "
+                f"max_bits={self.max_bits!r})")
 
 
-@dataclass(frozen=True)
-class SequenceTrace:
+# the slots are written only in SequenceSpec.__init__, past __setattr__
+_set_epsilon = SequenceSpec.epsilon.__set__
+_set_depth = SequenceSpec.depth.__set__
+_set_max_bits = SequenceSpec.max_bits.__set__
+
+
+class SequenceTrace(NamedTuple):
     values: tuple[int, ...]
 
     def v(self, n: int) -> int:
@@ -86,8 +116,7 @@ def generate(spec: SequenceSpec) -> SequenceTrace:
     return SequenceTrace(tuple(values))
 
 
-@dataclass(frozen=True)
-class DigitStream:
+class DigitStream(NamedTuple):
     digits: tuple[int, ...]
 
     def anomalies(self) -> list[tuple[int, int]]:
@@ -119,8 +148,7 @@ def digits_of_target(t: AlgebraicTarget | QSqrt2, count: int) -> DigitStream:
     return DigitStream(tuple((f >> (count - n)) & 1 for n in range(1, count + 1)))
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(NamedTuple):
     pair_index: int
     depth: int
     matched: bool
@@ -150,8 +178,7 @@ def _dyadic_floors(t: QSqrt2, top: int):
     return lambda j: f >> (top - j)
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     pair_index: int
     even_ok: bool
     odd_ok: bool
@@ -213,8 +240,7 @@ def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
                             corrected_even_ok=not corrected_bad)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     samples: int
     violations: tuple[str, ...]
     branch_checks_ok: bool
@@ -292,12 +318,11 @@ def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
             prev_odd = v
 
 
-ALPHA6 = 759250125
-BETA6 = 314491699
+# alpha and beta of row 6's target, the corollary's multiplier and shift
+ALPHA6, BETA6 = entry(6).target.alpha, entry(6).target.beta
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(NamedTuple):
     depth: int
     agree_from_31: bool
     disagreements_below_31: tuple[int, ...]
@@ -326,7 +351,7 @@ def corollary_check(depth: int = 150, cap: int = 4096) -> CorollaryReport:
     onset = (max(bad) + 1) if bad else 1
 
     # exact identity in Q(sqrt2): 2^29 t6 + beta6 = alpha6*sqrt2
-    t6 = AlgebraicTarget(ALPHA6, BETA6, 29).value()
+    t6 = entry(6).target.value()
     identity_ok = (t6 * (1 << 29) + QSqrt2.of(BETA6)) == a6
 
     return CorollaryReport(
@@ -338,8 +363,7 @@ def corollary_check(depth: int = 150, cap: int = 4096) -> CorollaryReport:
     )
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     multiplier: int
     exponent_offset: int
     depth: int

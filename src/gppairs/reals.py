@@ -7,7 +7,6 @@ enclosure until the integer part is decided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import QSqrt2, floor_rat_sqrt2
@@ -39,17 +38,41 @@ class UndecidableError(ArithmeticError):
         return f"floor undecided{at} at {self.max_bits} bits"
 
 
-@dataclass(frozen=True)
 class RealInterval:
-    """Enclosure [lo, hi] of a real value; endpoints are exact rationals."""
+    """Enclosure [lo, hi] of a real value; endpoints are exact rationals.
 
-    lo: Fraction
-    hi: Fraction
-    bits: int = 0
+    Values are immutable: setting an attribute raises AttributeError.  Not
+    a tuple, so that `2 * iv` is interval arithmetic, not repetition.
+    """
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi", "bits")
+
+    def __init__(self, lo: Fraction, hi: Fraction, bits: int = 0):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        _set_lo(self, lo)
+        _set_hi(self, hi)
+        _set_bits(self, bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RealInterval is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RealInterval is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return self.lo, self.hi, self.bits
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RealInterval:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"RealInterval(lo={self.lo!r}, hi={self.hi!r}, bits={self.bits!r})"
 
     @property
     def width(self) -> Fraction:
@@ -125,6 +148,12 @@ class RealInterval:
         return RealInterval(lo, hi, self.bits)
 
 
+# the slots are written only in RealInterval.__init__, past __setattr__
+_set_lo = RealInterval.lo.__set__
+_set_hi = RealInterval.hi.__set__
+_set_bits = RealInterval.bits.__set__
+
+
 def _as_interval(x) -> RealInterval:
     if isinstance(x, RealInterval):
         return x
@@ -190,7 +219,7 @@ def const_sqrt2(bits: int) -> RealInterval:
 #
 # expr   := term (('+'|'-') term)*
 # term   := factor (('*'|'/') factor)*
-# factor := base ('^' integer)?
+# factor := '-' factor | base ('^' integer)?
 # base   := number | 'pi' | 'e' | 'sqrt2' | '(' expr ')'
 #
 # Numbers are integer or decimal literals; decimals parse to exact rationals
@@ -237,6 +266,9 @@ class _Parser:
         return node
 
     def factor(self) -> Expr:
+        if self.peek() == "-":  # unary minus binds looser than '^': -2^2 is -4
+            self.pos += 1
+            return ("neg", self.factor())
         node = self.base()
         if self.peek() == "^":
             self.pos += 1
@@ -263,9 +295,6 @@ class _Parser:
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1
             return node
-        if c == "-":
-            self.pos += 1
-            return ("sub", ("num", Fraction(0)), self.base())
         if c.isdigit():
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -309,6 +338,8 @@ def format_expr(node: Expr) -> str:
         return node[1]
     if kind == "pow":
         return f"({format_expr(node[1])})^{node[2]}"
+    if kind == "neg":
+        return f"-{format_expr(node[1])}"
     op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
     return f"({format_expr(node[1])}{op}{format_expr(node[2])})"
 
@@ -322,6 +353,9 @@ def eval_expr(node: Expr, bits: int) -> RealInterval:
         return {"pi": const_pi, "e": const_e, "sqrt2": const_sqrt2}[node[1]](bits)
     if kind == "pow":
         return eval_expr(node[1], bits).pow_int(node[2])
+    if kind == "neg":
+        x = eval_expr(node[1], bits)
+        return RealInterval(-x.hi, -x.lo, x.bits)
     lhs = eval_expr(node[1], bits)
     rhs = eval_expr(node[2], bits)
     if kind == "add":
@@ -354,6 +388,9 @@ def exact_value(node: Expr) -> QSqrt2 | None:
         for _ in range(k):
             out = out * base
         return out
+    if kind == "neg":
+        x = exact_value(node[1])
+        return None if x is None else -x
     lhs = exact_value(node[1])
     rhs = exact_value(node[2])
     if lhs is None or rhs is None:

@@ -6,8 +6,8 @@ every target has the form (alpha*sqrt2 - beta)/2^l with alpha odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import QSqrt2
 
@@ -23,8 +23,7 @@ DOMAIN_LO = halfint(-1, -1)
 DOMAIN_HI = halfint(1, 0)
 
 
-@dataclass(frozen=True)
-class AlgebraicTarget:
+class AlgebraicTarget(NamedTuple):
     """A target t = (alpha*sqrt2 - beta) / 2^l with gamma = 2*alpha + beta."""
 
     alpha: int
@@ -45,8 +44,7 @@ class AlgebraicTarget:
         return self.alpha % 2 == 1 and self.alpha + self.beta == 1 << (self.l + 1)
 
 
-@dataclass(frozen=True)
-class GPPairEntry:
+class GPPairEntry(NamedTuple):
     """One table row: half-open epsilon interval [xi1, xi2) plus its target."""
 
     index: int

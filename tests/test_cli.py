@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import gppairs
 from gppairs.cli import main
 from gppairs.exact import QSqrt2
 from gppairs.table import THEOREM_TABLE, halfint
@@ -195,7 +199,7 @@ class TestPlotdata:
     (("corollary", "--cap", "4"), "--cap"),
     (("verify", "--pair", "all", "--depth", "0"), "argument --depth: must be at least 1"),
     (("digits", "--epsilon", "1/2", "--count", "-1"),
-     "argument --count: must be at least 0"),
+     "argument --count: must be at least 1"),
     (("verify", "--pair", "x"), "argument --pair: invalid choice: 'x'"),
     (("verify", "--pair", "9"), "argument --pair: invalid choice: '9'"),
     (("corollary", "--max-bits", "4"), "argument --max-bits/--cap: must be at least 8"),
@@ -220,6 +224,8 @@ class TestPlotdata:
     (("table", "--l-bound", "-1"), "argument --l-bound: must be at least 0"),
     (("sweep", "--cell-budget", "0"), "argument --cell-budget: must be at least 1"),
     (("sweep", "--cell-budget", "-5"), "argument --cell-budget: must be at least 1"),
+    # zero digits would pass vacuously
+    (("digits", "--epsilon", "1/2", "--count", "0"), "argument --count: must be at least 1"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -323,3 +329,14 @@ class TestMisc:
         assert code == 2
         assert rep["results"][1] == {"name": "reconstruction", "pass": False,
                                      "witness": "3 identified, 3 unidentified region(s)"}
+
+
+def test_import_leaves_out_dataclasses():
+    # `dataclasses` imports inspect, ast and dis, milliseconds on every CLI
+    # start; -S keeps site-packages' .pth hooks out of the check
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gppairs.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, gppairs.cli; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -64,17 +64,31 @@ _window_ends = st.fractions(min_value=-3, max_value=3, max_denominator=1000)
 
 
 class TestSweep:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(lo=_window_ends,
            width=st.fractions(min_value=0, max_value=4, max_denominator=1000).filter(bool),
-           depth=st.integers(1, 120))
-    @example(lo=Fraction(-1, 3), width=Fraction(10, 3), depth=101)
-    @example(lo=Fraction(-2), width=Fraction(4), depth=120)
-    @example(lo=Fraction(3, 10), width=Fraction(2, 5), depth=120)
-    @example(lo=Fraction(1, 2), width=Fraction(1, 1000), depth=1)
-    def test_walk_matches_splitting_sweep(self, lo, width, depth):
-        # inside the domain, across it and outside it, negative eps included
-        a, b = QSqrt2.of(lo), QSqrt2.of(lo + width)
+           depth=st.integers(1, 120),
+           hi_jump=st.none() | st.integers(0, 8))
+    @example(lo=Fraction(-1, 3), width=Fraction(10, 3), depth=101, hi_jump=None)
+    @example(lo=Fraction(-2), width=Fraction(4), depth=120, hi_jump=None)
+    @example(lo=Fraction(3, 10), width=Fraction(2, 5), depth=120, hi_jump=None)
+    @example(lo=Fraction(1, 2), width=Fraction(1, 1000), depth=1, hi_jump=None)
+    # row endpoints are jump points, so lo sits on one and hi ties one
+    @example(lo=entry(6).xi1, width=entry(6).xi2 - entry(6).xi1, depth=62, hi_jump=None)
+    @example(lo=entry(2).xi1, width=entry(7).xi2 - entry(2).xi1, depth=62, hi_jump=None)
+    @example(lo=entry(4).xi1, width=entry(4).xi2 - entry(4).xi1, depth=40, hi_jump=None)
+    @example(lo=Fraction(1, 2), width=Fraction(1), depth=62, hi_jump=0)
+    @example(lo=entry(3).xi1, width=Fraction(1), depth=62, hi_jump=3)
+    def test_walk_matches_splitting_sweep(self, lo, width, depth, hi_jump):
+        # inside the domain, across it and outside it, negative eps included;
+        # a hi_jump puts hi on that jump of the trace at lo, where a tie
+        # with hi must end the walk at hi
+        a = lo if isinstance(lo, QSqrt2) else QSqrt2.of(lo)
+        b = a + width
+        if hi_jump is not None and depth > 1:
+            v = generate(SequenceSpec(a, depth=depth)).values
+            jumps = [halfint(v[n] + 1, v[n - 1]) for n in range(1, depth, 2)]
+            b = jumps[hi_jump % len(jumps)]
         got = [(c.lo, c.hi, c.prefix) for c in sweep(a, b, depth)]
         assert got == _splitting_sweep(a, b, depth)
 

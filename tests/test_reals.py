@@ -125,10 +125,16 @@ class TestGrammar:
             parse_expr(text)
 
     def test_format_roundtrip(self):
-        for text in ["1-pi^2/e^3", "0.2928", "(1+sqrt2)/2", "2^-2"]:
+        for text in ["1-pi^2/e^3", "0.2928", "(1+sqrt2)/2", "2^-2",
+                     "-2^2", "-pi^2", "-pi", "2*-e", "1--pi^3", "(-2)^3", "--3/4"]:
             node = parse_expr(text)
             again = parse_expr(format_expr(node))
             assert eval_expr(node, 80).lo == eval_expr(again, 80).lo
+        # unary minus binds looser than '^', as in 0-2^2, and echoes as itself
+        assert exact_value(parse_expr("-2^2")) == exact_value(parse_expr("0-2^2")) == \
+            QSqrt2.of(-4)
+        assert eval_expr(parse_expr("-pi^2"), 80).hi < 0
+        assert format_expr(parse_expr("-pi")) == "-pi"
 
 
 class TestRefinableReal:
