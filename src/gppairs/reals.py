@@ -38,6 +38,9 @@ class UndecidableError(ArithmeticError):
         return f"floor undecided{at} at {self.max_bits} bits"
 
 
+_TRIM_GUARD = 32  # bits by which RealInterval._trimmed's grid undercuts the width
+
+
 class RealInterval:
     """Enclosure [lo, hi] of a real value; endpoints are exact rationals.
 
@@ -106,8 +109,12 @@ class RealInterval:
 
     def __mul__(self, other):
         other = _as_interval(other)
-        prods = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0 and c >= 0:
+            # 0 <= a <= b and 0 <= c <= d give a*c <= a*d, b*c <= b*d, so the
+            # least and greatest of the four products are a*c and b*d
+            return RealInterval(a * c, b * d, self.bits)
+        prods = [a * c, a * d, b * c, b * d]
         return RealInterval(min(prods), max(prods), self.bits)
 
     __rmul__ = __mul__
@@ -131,10 +138,26 @@ class RealInterval:
         out = RealInterval(Fraction(1), Fraction(1), self.bits)
         while k:
             if k & 1:
-                out = out * r
-            r = r * r
+                out = (out * r)._trimmed()
+            r = (r * r)._trimmed()
             k >>= 1
         return out
+
+    def _trimmed(self) -> "RealInterval":
+        """Outward rounding onto a dyadic grid 2^_TRIM_GUARD times finer than
+        the width: still an enclosure, at most 1 + 2^(2 - _TRIM_GUARD) times
+        as wide.  A point stays exact.
+
+        Exact products of a non-point interval multiply its denominators, so
+        x^k would carry about k times the bits of x.  The grid follows the
+        width, not a fixed 2^-bits, so that a small base keeps its relative
+        precision and (pi/4)^-1000 never divides by an interval holding 0.
+        """
+        w = self.hi - self.lo
+        if not w:
+            return self
+        m = _TRIM_GUARD + w.denominator.bit_length() - w.numerator.bit_length()
+        return self.dyadic_rounded(max(m, 0))
 
     def intersect(self, other: "RealInterval") -> "RealInterval":
         return RealInterval(max(self.lo, other.lo), min(self.hi, other.hi),

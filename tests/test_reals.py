@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gppairs.exact import QSqrt2
+from gppairs.engine import SequenceSpec, generate
+from gppairs.exact import QSqrt2, floor_q
 from gppairs.reals import (
     EvalError,
     ParseError,
@@ -23,6 +24,8 @@ from gppairs.reals import (
     format_expr,
     parse_expr,
 )
+
+ENDPOINT = st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=100))
 
 PI_REF = Fraction("3.14159265358979323846264338327950288419716939937511")
 E_REF = Fraction("2.71828182845904523536028747135266249775724709369996")
@@ -45,6 +48,38 @@ class TestRealInterval:
         y = RealInterval(min(c, d), max(c, d))
         assert (x * y).contains(x.lo * y.hi)
         assert (x * y).contains(x.mid * y.mid)
+
+    @given(ENDPOINT, ENDPOINT, ENDPOINT, ENDPOINT)
+    def test_mul_is_hull_of_endpoint_products(self, a, b, c, d):
+        # every sign pattern of either operand, zero ends included
+        x = RealInterval(min(a, b), max(a, b))
+        y = RealInterval(min(c, d), max(c, d))
+        prods = [x.lo * y.lo, x.lo * y.hi, x.hi * y.lo, x.hi * y.hi]
+        z = x * y
+        assert (z.lo, z.hi) == (min(prods), max(prods))
+
+    @given(ENDPOINT, ENDPOINT,
+           st.one_of(st.integers(-50, 50), st.fractions(max_denominator=100)))
+    def test_mul_by_scalar_on_either_side(self, a, b, k):
+        x = RealInterval(min(a, b), max(a, b))
+        want = (min(x.lo * k, x.hi * k), max(x.lo * k, x.hi * k))
+        for z in (x * k, k * x):
+            assert (z.lo, z.hi) == want
+
+    def test_pow_keeps_denominators_small(self):
+        # exact products would carry a denominator of about 2*10^6 bits
+        iv = eval_expr(parse_expr("pi^1000"), 2048)
+        assert max(iv.lo.denominator.bit_length(), iv.hi.denominator.bit_length()) <= 2048
+        # and the rounded power still encloses the exact one, barely wider
+        pi = const_pi(2048)
+        iv = pi.pow_int(100)
+        lo, hi = pi.lo ** 100, pi.hi ** 100
+        assert iv.lo <= lo and hi <= iv.hi
+        assert iv.width <= (hi - lo) * (1 + Fraction(1, 2**20))
+
+    def test_pow_of_point_stays_exact(self):
+        iv = RealInterval(Fraction(-2, 3), Fraction(-2, 3)).pow_int(-7)
+        assert iv.lo == iv.hi == Fraction(-3, 2) ** 7
 
     def test_division_by_zero_interval(self):
         with pytest.raises(EvalError):
@@ -177,3 +212,15 @@ class TestCertifiedFloor:
             eps = RefinableReal("1/3")
             want = floor_q(QSqrt2.of(0, n + Fraction(1, 3)))
             assert certified_floor(eps, addend=n) == want
+
+    @pytest.mark.parametrize("eps", [Fraction(-1, 3), Fraction(1, 3)])
+    @pytest.mark.parametrize("n", [-12345, -100, -7, -1, 0])
+    def test_agrees_with_exact_floor_across_signs(self, eps, n):
+        # a negative n or eps takes the four-product branch of RealInterval.__mul__
+        want = floor_q(QSqrt2.of(0, n + eps))
+        assert certified_floor(RefinableReal(str(eps)), addend=n) == want
+
+    def test_negative_offset_trace_matches_exact(self):
+        exact = generate(SequenceSpec(Fraction(-1, 3), depth=201))
+        assert min(exact.values) < 0
+        assert generate(SequenceSpec(RefinableReal("-1/3"), depth=201)) == exact
