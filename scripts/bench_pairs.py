@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Benchmark this working tree against a parent revision, in pairs.
+
+    python3 scripts/bench_pairs.py --number 13 --parent HEAD~1 \\
+        --workload transcendental:10 --workload discovery:4 --seed 7 --seconds 25
+
+exports the parent revision (`git archive`) into a temporary directory, and
+for each workload runs `bench/run.py --trace 0` there and in this checkout's
+working tree (the change) as PAIRS pairs, 10 by default.  Odd pairs run the
+parent first and even pairs the change first, so a drift of the host over the
+run falls on both sides alike.  With `--trace-seed S` each side also gets one
+`--trace 1` run of each workload.
+
+It writes BENCH_<number>.json at the root of the checkout, the file that a
+speed claim cites.  The file holds each side's `context` line (Python
+version, cores, src_lines), every raw result line, and per workload and
+end-to-end metric: each side's quartiles, the parent's IQR, the change's pair
+wins and its median change against the bound in BENCHMARK.json.  The
+exported tree is removed afterwards.  Exits 1 if any op failed its oracle on
+either side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", "-C", ROOT, *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(rev: str, dest: str) -> None:
+    """Write the files committed at `rev` into `dest`, without .git."""
+    os.makedirs(dest)
+    archive = subprocess.Popen(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+
+
+def bench(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One bench/run.py run: its context line and its last (result) line."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"bench/run.py in {checkout} exited {done.returncode}:\n"
+                         f"{done.stderr[-2000:]}")
+    lines = done.stdout.splitlines()
+    context = next(json.loads(l.split(" ", 1)[1]) for l in lines if l.startswith("context "))
+    return {"context": context, "result": json.loads(lines[-1])}
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    out = {}
+    for spec in end_to_end:
+        name, higher = spec["name"], spec["better"] == "higher"
+        side = {s: [p[s]["metrics"][name]["value"] for p in pairs]
+                for s in ("parent", "change")}
+        quart = {s: dict(zip(("q1", "median", "q3"), statistics.quantiles(v, n=4)))
+                 for s, v in side.items()}
+        for s, v in side.items():  # the median of the values, not of the cut points
+            quart[s]["median"] = statistics.median(v)
+        wins = sum((c > p) if higher else (c < p)
+                   for p, c in zip(side["parent"], side["change"]))
+        parent_median = quart["parent"]["median"]
+        out[name] = {
+            **quart,
+            "parent_iqr": quart["parent"]["q3"] - quart["parent"]["q1"],
+            "change_wins": f"{wins}/{len(pairs)}",
+            "median_change": (quart["change"]["median"] - parent_median) / parent_median,
+            "better": spec["better"],
+            "bound": spec["bound"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
+    p.add_argument("--parent", default="HEAD", help="parent revision (default HEAD, for uncommitted work)")
+    p.add_argument("--workload", action="append", required=True, metavar="NAME[:PAIRS]",
+                   help="a workload and its pair count (default 10); repeatable")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seconds", type=int, required=True)
+    p.add_argument("--trace-seed", type=int, help="also one traced run per side and workload")
+    p.add_argument("--note", default="", help="what the change is, for the file's reader")
+    args = p.parse_args(argv)
+
+    plan = []
+    for spec in args.workload:
+        name, _, n = spec.partition(":")
+        plan.append((name, int(n) if n else 10))
+    if any(n < 2 for _, n in plan):
+        p.error("each workload needs at least 2 pairs for quartiles")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        end_to_end = json.load(fh)["end_to_end"]
+
+    parent_sha = git("rev-parse", args.parent)
+    dirty = git("status", "--porcelain", "--untracked-files=no")
+    change_desc = f"working tree at {git('rev-parse', 'HEAD')}" + (
+        " with uncommitted changes" if dirty else "")
+    report = {
+        "note": args.note,
+        "parent": parent_sha,
+        "change": change_desc,
+        "command": f"python3 bench/run.py --workload W --seed {args.seed} "
+                   f"--seconds {args.seconds} --trace 0",
+        "order": "pairs alternate: odd pairs run the parent first, even pairs the change first",
+        "context": {},
+        "pairs": {},
+        "summary": {},
+    }
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        roots = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
+        export(parent_sha, roots["parent"])
+
+        def run(side, workload, seed, trace):
+            nonlocal failed
+            out = bench(roots[side], workload, seed, args.seconds, trace)
+            report["context"].setdefault(side, out["context"])
+            failed += out["result"]["failed"]
+            return out["result"]
+
+        for workload, n in plan:
+            rows = []
+            for i in range(1, n + 1):
+                order = ("parent", "change") if i % 2 else ("change", "parent")
+                row = {"pair": i}
+                for side in order:
+                    row[side] = run(side, workload, args.seed, 0)
+                    m = row[side]["metrics"]["ops_per_s"]["value"]
+                    print(f"{workload} pair {i}/{n} {side}: ops_per_s {m:.4g}",
+                          file=sys.stderr)
+                rows.append(row)
+            report["pairs"][workload] = rows
+            report["summary"][workload] = summarize(rows, end_to_end)
+        if args.trace_seed is not None:
+            report["traced"] = {
+                "command": f"python3 bench/run.py --workload W --seed {args.trace_seed} "
+                           f"--seconds {args.seconds} --trace 1",
+                **{w: {s: run(s, w, args.trace_seed, 1) for s in ("parent", "change")}
+                   for w, _ in plan},
+            }
+    path = os.path.join(ROOT, f"BENCH_{args.number}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    for workload, metrics in report["summary"].items():
+        for name, s in metrics.items():
+            print(f"{workload}.{name}: {s['parent']['median']:.6g} -> "
+                  f"{s['change']['median']:.6g} ({s['median_change']:+.1%}), "
+                  f"wins {s['change_wins']}, parent IQR {s['parent_iqr']:.3g}")
+    if failed:
+        print(f"{failed} ops failed their oracle", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

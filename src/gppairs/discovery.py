@@ -186,20 +186,23 @@ def _width_bits(iv: RealInterval) -> int:
     return max(8, w.denominator.bit_length() - w.numerator.bit_length())
 
 
-def _sqrt2_half_gap(bound: int, threshold: Fraction) -> bool:
-    """True if some nonzero |q*(sqrt2/2) - p| with |q| <= 2*bound is below
-    threshold (i.e. a second identification candidate could fit)."""
-    # best approximations of sqrt2/2 come from Pell-style convergents
-    p0, q0 = 0, 1
-    p1, q1 = 1, 1
-    while q1 <= 2 * bound:
-        err = QSqrt2(Fraction(-p1), Fraction(q1, 2))
-        if err.sign() < 0:
-            err = -err
-        if (err - QSqrt2.of(threshold)).sign() < 0:
-            return True
+def _sqrt2_half_min_gap(bound: int) -> QSqrt2:
+    """The least nonzero |q*(sqrt2/2) - p| with 1 <= q <= 2*bound (bound >= 1).
+
+    The convergents p/q of sqrt2/2 (0/1, 1/1, 2/3, 5/7, ...) are its best
+    approximations and their errors strictly decrease, so the least one is
+    the error of the last convergent with q <= 2*bound.
+    """
+    p0, q0, p1, q1 = 0, 1, 1, 1
+    while 2 * q1 + q0 <= 2 * bound:
         p0, q0, p1, q1 = p1, q1, 2 * p1 + p0, 2 * q1 + q0
-    return False
+    err = QSqrt2(Fraction(-p1), Fraction(q1, 2))
+    return -err if err.sign() < 0 else err
+
+
+# an interval wider than this could hold a second (c/2)*sqrt2 - d with
+# |c|, |d| <= HALFINT_BOUND
+_HALFINT_GAP = _sqrt2_half_min_gap(HALFINT_BOUND)
 
 
 def identify_halfint_sqrt2(x: RealInterval) -> tuple[int, int]:
@@ -229,7 +232,7 @@ def identify_halfint_sqrt2(x: RealInterval) -> tuple[int, int]:
                 continue
             cand = QSqrt2(Fraction(-d), Fraction(c, 2))
             if x.contains(cand):
-                if _sqrt2_half_gap(HALFINT_BOUND, x.width):
+                if _HALFINT_GAP < x.width:
                     raise IdentificationError(
                         "interval admits multiple (c,d) candidates; tighten it")
                 return c, d

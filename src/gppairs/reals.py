@@ -360,7 +360,12 @@ def format_expr(node: Expr) -> str:
     if kind == "const":
         return node[1]
     if kind == "pow":
-        return f"({format_expr(node[1])})^{node[2]}"
+        base = format_expr(node[1])
+        # a constant name or a nonnegative integer reads the same bare, and
+        # a binary operation brings its own parentheses
+        if node[1][0] in ("neg", "pow") or (node[1][0] == "num" and not base.isdigit()):
+            base = f"({base})"
+        return f"{base}^{node[2]}"
     if kind == "neg":
         return f"-{format_expr(node[1])}"
     op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
@@ -469,8 +474,9 @@ def certified_floor(
     """
     bits = min(start_bits, max_bits)
     while True:
-        s2 = const_sqrt2(bits)
-        iv = s2 * addend + s2 * x.refine(bits)
+        # one product: sqrt2*(v + eps) is sqrt2*v + sqrt2*eps when v, eps >= 0
+        # and lies inside it otherwise (subdistributivity, Moore 1966)
+        iv = const_sqrt2(bits) * (x.refine(bits) + addend)
         flo = iv.lo.numerator // iv.lo.denominator
         fhi = iv.hi.numerator // iv.hi.denominator
         if flo == fhi:

@@ -25,7 +25,7 @@ from gppairs.discovery import (
     verify_endpoint,
 )
 from gppairs.engine import SequenceSpec, digits_of_target, exact_step, generate
-from gppairs.exact import QSqrt2, integer_form
+from gppairs.exact import QSqrt2, floor_q, integer_form
 from gppairs.reals import RealInterval
 from gppairs.table import (DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, AlgebraicTarget, GPPairEntry,
                            entry, halfint)
@@ -173,6 +173,17 @@ class TestIdentify:
         wide = RealInterval(Fraction(0), Fraction(1), 0)
         with pytest.raises(IdentificationError):
             identify_halfint_sqrt2(wide)
+
+    def test_half_gap_is_least_over_all_denominators(self):
+        # a running minimum over every q against the last convergent's error
+        best = None
+        for q in range(1, 201):
+            x = QSqrt2.of(0, Fraction(q, 2))
+            f = floor_q(x)
+            gap = min(x - f, f + 1 - x)
+            best = gap if best is None else min(best, gap)
+            if q % 2 == 0:
+                assert discovery._sqrt2_half_min_gap(q // 2) == best
 
 
 class TestMinPoly:

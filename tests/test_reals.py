@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from gppairs.engine import SequenceSpec, generate
@@ -170,6 +170,13 @@ class TestGrammar:
             QSqrt2.of(-4)
         assert eval_expr(parse_expr("-pi^2"), 80).hi < 0
         assert format_expr(parse_expr("-pi")) == "-pi"
+        # a power's base is bare only when it is a constant name or a
+        # nonnegative integer
+        assert format_expr(parse_expr("pi^1000")) == "pi^1000"
+        assert format_expr(parse_expr("1-pi^2/e^3")) == "(1-(pi^2/e^3))"
+        assert format_expr(parse_expr("(-2)^2")) == "(-2)^2"
+        assert exact_value(parse_expr("(-2)^2")) == QSqrt2.of(4)
+        assert format_expr(parse_expr("(1/3)^2")) == "(1/3)^2"
 
 
 class TestRefinableReal:
@@ -187,7 +194,31 @@ class TestRefinableReal:
         assert a == b
 
 
+DYADIC = st.one_of(st.just(Fraction(0)),
+                   st.builds(lambda n, k: Fraction(n, 1 << k),
+                             st.integers(-(1 << 40), 1 << 40), st.integers(0, 64)))
+
+
 class TestCertifiedFloor:
+    @given(DYADIC, DYADIC, st.integers(-10**6, 10**6), st.integers(8, 512))
+    def test_one_product_inside_the_sum_of_two(self, a, b, v, bits):
+        # subdistributivity: s*(x + v) lies inside s*v + s*x, and equals it
+        # when v and x are nonnegative
+        x = RealInterval(min(a, b), max(a, b))
+        s2 = const_sqrt2(bits)
+        one = s2 * (x + v)
+        two = s2 * v + s2 * x
+        assert two.encloses(one)
+        if v >= 0 and x.lo >= 0:
+            assert (one.lo, one.hi) == (two.lo, two.hi)
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**6), st.integers(-10**6, 10**6))
+    def test_agrees_with_exact_floor_on_rationals(self, n, d, v):
+        # refine widens n/d outward, so an enclosure of sqrt2*0 straddles 0
+        assume(v * d + n != 0)
+        want = floor_q(QSqrt2.sqrt2() * (v + Fraction(n, d)))
+        assert certified_floor(RefinableReal(f"{n}/{d}"), addend=v) == want
+
     def test_exact_only(self):
         # floor(sqrt2 * 10) = 14 with a zero refinable part
         assert certified_floor(RefinableReal("0"), addend=10) == 14
