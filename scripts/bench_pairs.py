@@ -15,8 +15,10 @@ It writes BENCH_<number>.json at the root of the checkout, the file that a
 speed claim cites.  The file holds each side's `context` line (Python
 version, cores, src_lines), every raw result line, and per workload and
 end-to-end metric: each side's quartiles, the parent's IQR, the change's pair
-wins and its median change against the bound in BENCHMARK.json.  The
-exported tree is removed afterwards.  Exits 1 if any op failed its oracle on
+wins and its median change against the bound in BENCHMARK.json.  Each
+workload's summary also holds each side's median `attempted` (ops run): the
+worker keeps every op's result, so `peak_rss_mb` has to be read against it.
+The exported tree is removed afterwards.  Exits 1 if any op failed its oracle on
 either side.
 """
 
@@ -84,6 +86,8 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "better": spec["better"],
             "bound": spec["bound"],
         }
+    out["attempted"] = {s: statistics.median(p[s]["attempted"] for p in pairs)
+                        for s in ("parent", "change")}
     return out
 
 
@@ -161,6 +165,9 @@ def main(argv=None) -> int:
         fh.write("\n")
     for workload, metrics in report["summary"].items():
         for name, s in metrics.items():
+            if name == "attempted":
+                print(f"{workload}.attempted: {s['parent']:g} -> {s['change']:g}")
+                continue
             print(f"{workload}.{name}: {s['parent']['median']:.6g} -> "
                   f"{s['change']['median']:.6g} ({s['median_change']:+.1%}), "
                   f"wins {s['change_wins']}, parent IQR {s['parent_iqr']:.3g}")

@@ -7,6 +7,7 @@ enclosure until the integer part is decided.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exact import QSqrt2, floor_rat_sqrt2
@@ -94,20 +95,33 @@ class RealInterval:
     def encloses(self, other: "RealInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
+    # An int or Fraction operand c acts on the endpoints, as the point
+    # interval [c, c] would, without building one.
+
     def __add__(self, other):
+        if isinstance(other, _SCALAR):
+            return RealInterval(self.lo + other, self.hi + other, self.bits)
         other = _as_interval(other)
         return RealInterval(self.lo + other.lo, self.hi + other.hi, self.bits)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _SCALAR):
+            return RealInterval(self.lo - other, self.hi - other, self.bits)
         other = _as_interval(other)
         return RealInterval(self.lo - other.hi, self.hi - other.lo, self.bits)
 
     def __rsub__(self, other):
+        if isinstance(other, _SCALAR):
+            return RealInterval(other - self.hi, other - self.lo, self.bits)
         return _as_interval(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, _SCALAR):
+            if other >= 0:
+                return RealInterval(self.lo * other, self.hi * other, self.bits)
+            return RealInterval(self.hi * other, self.lo * other, self.bits)
         other = _as_interval(other)
         a, b, c, d = self.lo, self.hi, other.lo, other.hi
         if a >= 0 and c >= 0:
@@ -176,6 +190,8 @@ _set_lo = RealInterval.lo.__set__
 _set_hi = RealInterval.hi.__set__
 _set_bits = RealInterval.bits.__set__
 
+_SCALAR = (int, Fraction)
+
 
 def _as_interval(x) -> RealInterval:
     if isinstance(x, RealInterval):
@@ -232,7 +248,10 @@ def const_e(bits: int) -> RealInterval:
             return RealInterval(out.lo, out.hi, bits)
 
 
+@functools.lru_cache(maxsize=64)
 def const_sqrt2(bits: int) -> RealInterval:
+    """Enclosure of sqrt2 of width 2^-bits, built once per precision: a
+    certified floor asks for the same few precisions on every step."""
     s = 1 << bits
     r = floor_rat_sqrt2(s, 1)
     return RealInterval(Fraction(r, s), Fraction(r + 1, s), bits)
@@ -413,8 +432,12 @@ def exact_value(node: Expr) -> QSqrt2 | None:
             base = QSqrt2.of(1) / base
             k = -k
         out = QSqrt2.of(1)
-        for _ in range(k):
-            out = out * base
+        while k:  # square and multiply: about 2*log2(k) products, not k
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
     if kind == "neg":
         x = exact_value(node[1])

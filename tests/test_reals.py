@@ -66,6 +66,17 @@ class TestRealInterval:
         for z in (x * k, k * x):
             assert (z.lo, z.hi) == want
 
+    @given(ENDPOINT, ENDPOINT, st.integers(0, 4096),
+           st.one_of(st.integers(-50, 50), st.fractions(max_denominator=100)))
+    def test_scalar_acts_as_its_point_interval(self, a, b, bits, c):
+        # every sign pattern of the interval and of c, zero included
+        x = RealInterval(min(a, b), max(a, b), bits)
+        p = RealInterval(Fraction(c), Fraction(c), bits)
+        assert x + c == c + x == x + p
+        assert x - c == x - p
+        assert c - x == p - x
+        assert x * c == c * x == x * p
+
     def test_pow_keeps_denominators_small(self):
         # exact products would carry a denominator of about 2*10^6 bits
         iv = eval_expr(parse_expr("pi^1000"), 2048)
@@ -118,6 +129,14 @@ class TestConstants:
         assert iv.contains(QSqrt2.sqrt2())
         assert iv.width == Fraction(1, 1 << bits)
 
+    def test_sqrt2_cached_per_precision(self):
+        for bits in range(8, 4097):
+            r = math.isqrt(2 << (2 * bits))
+            fresh = RealInterval(Fraction(r, 1 << bits), Fraction(r + 1, 1 << bits), bits)
+            iv = const_sqrt2(bits)
+            assert iv == fresh
+            assert const_sqrt2(bits) is iv
+
     def test_nested_refinement(self):
         assert const_pi(64).encloses(const_pi(256))
         assert const_e(64).encloses(const_e(256))
@@ -148,6 +167,28 @@ class TestGrammar:
 
     def test_exact_value_none_for_transcendentals(self):
         assert exact_value(parse_expr("1-pi^2/e^3")) is None
+
+    def test_exact_power_keeps_pell_norm(self):
+        # (1+sqrt2)^n = P + Q*sqrt2 with P^2 - 2Q^2 = (-1)^n
+        n = 20000
+        x = exact_value(parse_expr(f"(1+sqrt2)^{n}"))
+        assert x.a.denominator == x.b.denominator == 1
+        assert x.a * x.a - 2 * x.b * x.b == (-1) ** n
+        assert x.b.numerator.bit_length() > n
+
+    @given(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6),
+           st.integers(-30, 30))
+    def test_exact_power_is_repeated_product(self, p, r, q, k):
+        assume(p or r or k >= 0)
+        base = ("div", ("add", ("num", Fraction(p)),
+                        ("mul", ("num", Fraction(r)), ("const", "sqrt2"))),
+                ("num", Fraction(q)))
+        x = QSqrt2.of(Fraction(p, q), Fraction(r, q))
+        step = x if k >= 0 else 1 / x
+        want = QSqrt2.of(1)
+        for _ in range(abs(k)):
+            want = want * step
+        assert exact_value(("pow", base, k)) == want
 
     @pytest.mark.parametrize("bad", ["", "1+", "((1)", "pi pi", "2^x", "sqrt3"])
     def test_parse_errors(self, bad):
