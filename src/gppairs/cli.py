@@ -59,7 +59,22 @@ class EpsilonInput:
         return RefinableReal(self.expression)
 
     def canonical(self) -> str:
-        return format_expr(self.expression) if self.exact is None else str(self.exact)
+        if self.exact is not None:
+            try:
+                return str(self.exact)
+            except ValueError:  # an integer past Python's int-to-str digit limit
+                pass
+        return format_expr(self.expression)
+
+
+def _decimal(n: int) -> str:
+    """str(n), or a ValueError naming n's size where n has more digits
+    than Python converts to text."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ValueError(f"a reported value has {n.bit_length()} bits, "
+                         "too many to print in decimal") from None
 
 
 # Each cmd_* returns its report body: "inputs", "results", optional
@@ -74,7 +89,7 @@ def cmd_digits(args) -> dict:
     anomalies = [{"index": i, "digit": d} for i, d in stream.anomalies()]
     return {"inputs": {"epsilon": eps.canonical(), "count": args.count},
             "results": [{"name": "digits", "pass": not anomalies,
-                         "witness": " ".join(str(d) for d in stream.digits)}],
+                         "witness": " ".join(map(_decimal, stream.digits))}],
             "anomalies": anomalies}
 
 
@@ -216,7 +231,7 @@ def cmd_counterexample(args) -> dict:
         anomalies.append({"index": hit[0], "digit": hit[1]})
     return {"inputs": {"epsilon": eps.canonical(), "limit": args.limit},
             "results": [{"name": "first bad digit", "pass": True,
-                         "witness": str(hit) if hit else "none"}],
+                         "witness": f"({hit[0]}, {_decimal(hit[1])})" if hit else "none"}],
             "anomalies": anomalies}
 
 

@@ -103,20 +103,35 @@ def bisect_jump(target_index: int, target_value: int,
                 window: tuple[Fraction, Fraction], tol_bits: int) -> RealInterval:
     """Enclosure of inf{eps : v_n(eps) >= target_value} by interval halving.
 
-    Every probe is an exact trace evaluation at a rational midpoint.
+    Every probe is an exact trace evaluation at a rational midpoint.  Each
+    v_k is nondecreasing in eps, so the first m values, on which the traces
+    at the window's two ends agree, are the same across the window: a probe
+    steps on from v_m, and m only grows as the window narrows.
     """
+    if tol_bits < 1:
+        raise ValueError(f"tol_bits must be >= 1, got {tol_bits}")
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    if not (value_at(lo, target_index) < target_value <= value_at(hi, target_index)):
+    lo_v = list(generate(SequenceSpec(lo, target_index)).values)
+    hi_v = list(generate(SequenceSpec(hi, target_index)).values)
+    if not (lo_v[-1] < target_value <= hi_v[-1]):
         raise ValueError(
-            f"window does not bracket the jump: v({lo})={value_at(lo, target_index)}, "
-            f"v({hi})={value_at(hi, target_index)}, target {target_value}")
+            f"window does not bracket the jump: v({lo})={lo_v[-1]}, "
+            f"v({hi})={hi_v[-1]}, target {target_value}")
     tol = Fraction(1, 1 << tol_bits)
+    m = 1  # v_1 = 1 at every eps
     while hi - lo > tol:
+        # the ends differ at v_n, so the scan stops before it
+        while lo_v[m] == hi_v[m]:
+            m += 1
         mid = (lo + hi) / 2
-        if value_at(mid, target_index) >= target_value:
-            hi = mid
+        form = (mid.numerator, 0, mid.denominator)  # integer_form of mid
+        v = lo_v[:m]
+        for k in range(m, target_index):
+            v.append(exact_step(v[-1], k, form))
+        if v[-1] >= target_value:
+            hi, hi_v = mid, v
         else:
-            lo = mid
+            lo, lo_v = mid, v
     return RealInterval(lo, hi, tol_bits)
 
 

@@ -13,8 +13,20 @@ import pytest
 import gppairs
 from gppairs.cli import main
 from gppairs.exact import QSqrt2
+from gppairs.reals import exact_value, parse_expr
 from gppairs.table import THEOREM_TABLE, halfint
 from gppairs.discovery import halfint_form, value_at
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on the digits of an int converted to text."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts ints of any size to text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 def run(capsys, *argv):
@@ -69,6 +81,26 @@ class TestDigits:
         assert out == ""
         assert err.count("\n") == 1
         assert "step 27" in err and "16 bits" in err and "--max-bits" in err
+
+    @pytest.mark.parametrize("command, count", [("digits", "--count"),
+                                                ("counterexample", "--limit")])
+    def test_long_exact_offset_echoed_as_parsed(self, capsys, int_str_limit, command, count):
+        # the denominator of (3/7)^20000 has about 16900 digits
+        code, rep = run_json(capsys, command, "--epsilon", "(3/7)^20000", count, "3")
+        assert code == 2
+        assert rep["inputs"]["epsilon"] == "(3/7)^20000"
+        assert exact_value(parse_expr(rep["inputs"]["epsilon"])) == \
+            exact_value(parse_expr("(3/7)^20000"))
+        assert rep["anomalies"] == [{"index": 2, "digit": -1}]
+
+    @pytest.mark.parametrize("command, count", [("digits", "--count"),
+                                                ("counterexample", "--limit")])
+    def test_too_long_reported_value_named_by_size(self, capsys, int_str_limit, command,
+                                                   count):
+        code, out, err = run(capsys, command, "--epsilon", "2^20000", count, "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: a reported value has 20002 bits, too many to print in decimal\n"
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "digits", "--epsilon", "1/2", "--count", "20")

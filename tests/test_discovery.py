@@ -135,7 +135,94 @@ class TestSweep:
             sweep(DOMAIN_HI, DOMAIN_LO, 5)
 
 
+def _halving(n: int, target: int, window, tol_bits: int):
+    """The plain bisection: every probe a whole trace through value_at."""
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+    if not (value_at(lo, n) < target <= value_at(hi, n)):
+        raise ValueError(
+            f"window does not bracket the jump: v({lo})={value_at(lo, n)}, "
+            f"v({hi})={value_at(hi, n)}, target {target}")
+    while hi - lo > Fraction(1, 1 << tol_bits):
+        mid = (lo + hi) / 2
+        if value_at(mid, n) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, tol_bits
+
+
+def _same_as_halving(n: int, target: int, window, tol_bits: int) -> None:
+    try:
+        want = _halving(n, target, window, tol_bits)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            bisect_jump(n, target, window, tol_bits)
+        assert str(got.value) == str(exc)
+        return
+    enc = bisect_jump(n, target, window, tol_bits)
+    assert (enc.lo, enc.hi, enc.bits) == want
+
+
+def _row_window(row: int, below: int, above: int):
+    """The benchmark's rediscovery window: margins in millionths around the
+    12-digit decimal of the row's left endpoint."""
+    approx = Fraction(entry(row).xi1.to_decimal(12))
+    return (max(approx - Fraction(below, 10**6), Fraction(2929, 10000)),
+            approx + Fraction(above, 10**6))
+
+
+_DOMAIN_POINTS = st.fractions(min_value=Fraction(2929, 10**4),
+                              max_value=Fraction(7070, 10**4), max_denominator=10**9)
+
+
 class TestBisect:
+    @given(_DOMAIN_POINTS, _DOMAIN_POINTS, st.integers(2, 70),
+           st.fractions(min_value=0, max_value=1, max_denominator=1000),
+           st.integers(-1, 1), st.integers(1, 160))
+    @settings(max_examples=80, deadline=None)
+    def test_same_as_plain_halving(self, a, b, n, at, offset, tol_bits):
+        lo, hi = min(a, b), max(a, b)
+        target = value_at(lo + (hi - lo) * at, n) + offset
+        _same_as_halving(n, target, (lo, hi), tol_bits)
+
+    @pytest.mark.parametrize("row", range(2, 9))
+    @pytest.mark.parametrize("below, above", [(500, 2000), (2000, 500)])
+    def test_rows_same_as_plain_halving(self, row, below, above):
+        pair = entry(row)
+        depth = pair.certification_depth if row != 5 else 62
+        _same_as_halving(depth, value_at(pair.xi1, depth), _row_window(row, below, above),
+                         200 if row % 2 == 0 else 120)
+
+    def test_window_narrower_than_tolerance(self):
+        xi = entry(6).xi1
+        box = _enclose(xi, 60)
+        enc = bisect_jump(62, value_at(xi, 62), (box.lo, box.hi), 40)
+        assert (enc.lo, enc.hi, enc.bits) == (box.lo, box.hi, 40)
+
+    def test_probes_step_on_from_the_shared_prefix(self, monkeypatch):
+        """Row 6's jump is at a late step, so after the first few halvings
+        a probe takes a handful of steps: 698 in all, where whole 61-step
+        probes take 11834, and advancing the shared prefix by at most one
+        value per probe 2351."""
+        target = value_at(entry(6).xi1, 62)
+        calls = 0
+
+        def counting_step(*args):
+            nonlocal calls
+            calls += 1
+            return exact_step(*args)
+
+        monkeypatch.setattr(discovery, "exact_step", counting_step)
+        monkeypatch.setattr("gppairs.engine.exact_step", counting_step)
+        enc = bisect_jump(62, target, _row_window(6, 1000, 1000), 200)
+        assert identify_halfint_sqrt2(enc) == halfint_form(entry(6).xi1)
+        assert calls < 1500
+
+    @pytest.mark.parametrize("tol_bits", [0, -1, -5])
+    def test_tol_bits_below_1_rejected(self, tol_bits):
+        with pytest.raises(ValueError, match="tol_bits must be >= 1"):
+            bisect_jump(2, 2, (Fraction(3, 10), Fraction(5, 10)), tol_bits)
+
     def test_sqrt2_minus_1_jump(self):
         enc = bisect_jump(2, 2, (Fraction(3, 10), Fraction(5, 10)), 80)
         assert enc.contains(QSqrt2.of(-1, 1))
