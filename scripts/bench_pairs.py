@@ -2,24 +2,28 @@
 """Benchmark this working tree against a parent revision, in pairs.
 
     python3 scripts/bench_pairs.py --number 13 --parent HEAD~1 \\
-        --workload transcendental:10 --workload discovery:4 --seed 7 --seconds 25
+        --workload transcendental:10 --workload discovery:4 --seed 7 --seed 11 \\
+        --seconds 25
 
 exports the parent revision (`git archive`) into a temporary directory, and
-for each workload runs `bench/run.py --trace 0` there and in this checkout's
-working tree (the change) as PAIRS pairs, 10 by default.  Odd pairs run the
-parent first and even pairs the change first, so a drift of the host over the
-run falls on both sides alike.  With `--trace-seed S` each side also gets one
-`--trace 1` run of each workload.
+for each seed and workload runs `bench/run.py --trace 0` there and in this
+checkout's working tree (the change) as PAIRS pairs, 10 by default.  Odd
+pairs run the parent first and even pairs the change first, so a drift of
+the host over the run falls on both sides alike.  With `--trace-seed S` each
+side also gets one `--trace 1` run of each workload, kept in the first
+seed's file.
 
-It writes BENCH_<number>.json at the root of the checkout, the file that a
-speed claim cites.  The file holds each side's `context` line (Python
-version, cores, src_lines), every raw result line, and per workload and
-end-to-end metric: each side's quartiles, the parent's IQR, the change's pair
-wins and its median change against the bound in BENCHMARK.json.  Each
-workload's summary also holds each side's median `attempted` (ops run): the
-worker keeps every op's result, so `peak_rss_mb` has to be read against it.
-The exported tree is removed afterwards.  Exits 1 if any op failed its oracle on
-either side.
+It writes one file per seed at the root of the checkout, the files that a
+speed claim cites: BENCH_<number>.json for the first seed and
+BENCH_<number>_seed<S>.json for each later seed S; each file names the
+others under `other_seeds`.  A file holds its seed, each side's `context`
+line (Python version, cores, src_lines), every raw result line, and per
+workload and end-to-end metric: each side's quartiles, the parent's IQR, the
+change's pair wins and its median change against the bound in
+BENCHMARK.json.  Each workload's summary also holds each side's median
+`attempted` (ops run): the worker keeps every op's result, so `peak_rss_mb`
+has to be read against it.  The exported tree is removed afterwards.  Exits 1
+if any op failed its oracle on either side.
 """
 
 from __future__ import annotations
@@ -93,11 +97,12 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
+    p.add_argument("--number", type=int, required=True, help="writes BENCH_<number>[_seed<S>].json")
     p.add_argument("--parent", default="HEAD", help="parent revision (default HEAD, for uncommitted work)")
     p.add_argument("--workload", action="append", required=True, metavar="NAME[:PAIRS]",
                    help="a workload and its pair count (default 10); repeatable")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, action="append", required=True,
+                   help="a workload seed; repeatable, one file per seed")
     p.add_argument("--seconds", type=int, required=True)
     p.add_argument("--trace-seed", type=int, help="also one traced run per side and workload")
     p.add_argument("--note", default="", help="what the change is, for the file's reader")
@@ -109,6 +114,7 @@ def main(argv=None) -> int:
         plan.append((name, int(n) if n else 10))
     if any(n < 2 for _, n in plan):
         p.error("each workload needs at least 2 pairs for quartiles")
+    seeds = list(dict.fromkeys(args.seed))
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
 
@@ -116,61 +122,68 @@ def main(argv=None) -> int:
     dirty = git("status", "--porcelain", "--untracked-files=no")
     change_desc = f"working tree at {git('rev-parse', 'HEAD')}" + (
         " with uncommitted changes" if dirty else "")
-    report = {
+    files = {seed: f"BENCH_{args.number}.json" if seed == seeds[0]
+             else f"BENCH_{args.number}_seed{seed}.json" for seed in seeds}
+    reports = {seed: {
         "note": args.note,
+        "seed": seed,
+        "other_seeds": {str(s): f for s, f in files.items() if s != seed},
         "parent": parent_sha,
         "change": change_desc,
-        "command": f"python3 bench/run.py --workload W --seed {args.seed} "
+        "command": f"python3 bench/run.py --workload W --seed {seed} "
                    f"--seconds {args.seconds} --trace 0",
         "order": "pairs alternate: odd pairs run the parent first, even pairs the change first",
         "context": {},
         "pairs": {},
         "summary": {},
-    }
+    } for seed in seeds}
     failed = 0
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         roots = {"parent": os.path.join(tmp, "parent"), "change": ROOT}
         export(parent_sha, roots["parent"])
 
-        def run(side, workload, seed, trace):
+        def run(report, side, workload, seed, trace):
             nonlocal failed
             out = bench(roots[side], workload, seed, args.seconds, trace)
             report["context"].setdefault(side, out["context"])
             failed += out["result"]["failed"]
             return out["result"]
 
-        for workload, n in plan:
-            rows = []
-            for i in range(1, n + 1):
-                order = ("parent", "change") if i % 2 else ("change", "parent")
-                row = {"pair": i}
-                for side in order:
-                    row[side] = run(side, workload, args.seed, 0)
-                    m = row[side]["metrics"]["ops_per_s"]["value"]
-                    print(f"{workload} pair {i}/{n} {side}: ops_per_s {m:.4g}",
-                          file=sys.stderr)
-                rows.append(row)
-            report["pairs"][workload] = rows
-            report["summary"][workload] = summarize(rows, end_to_end)
+        for seed, report in reports.items():
+            for workload, n in plan:
+                rows = []
+                for i in range(1, n + 1):
+                    order = ("parent", "change") if i % 2 else ("change", "parent")
+                    row = {"pair": i}
+                    for side in order:
+                        row[side] = run(report, side, workload, seed, 0)
+                        m = row[side]["metrics"]["ops_per_s"]["value"]
+                        print(f"seed {seed} {workload} pair {i}/{n} {side}: "
+                              f"ops_per_s {m:.4g}", file=sys.stderr)
+                    rows.append(row)
+                report["pairs"][workload] = rows
+                report["summary"][workload] = summarize(rows, end_to_end)
         if args.trace_seed is not None:
-            report["traced"] = {
+            first = reports[seeds[0]]
+            first["traced"] = {
                 "command": f"python3 bench/run.py --workload W --seed {args.trace_seed} "
                            f"--seconds {args.seconds} --trace 1",
-                **{w: {s: run(s, w, args.trace_seed, 1) for s in ("parent", "change")}
+                **{w: {s: run(first, s, w, args.trace_seed, 1) for s in ("parent", "change")}
                    for w, _ in plan},
             }
-    path = os.path.join(ROOT, f"BENCH_{args.number}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)
-        fh.write("\n")
-    for workload, metrics in report["summary"].items():
-        for name, s in metrics.items():
-            if name == "attempted":
-                print(f"{workload}.attempted: {s['parent']:g} -> {s['change']:g}")
-                continue
-            print(f"{workload}.{name}: {s['parent']['median']:.6g} -> "
-                  f"{s['change']['median']:.6g} ({s['median_change']:+.1%}), "
-                  f"wins {s['change_wins']}, parent IQR {s['parent_iqr']:.3g}")
+    for seed, report in reports.items():
+        with open(os.path.join(ROOT, files[seed]), "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=1)
+            fh.write("\n")
+        for workload, metrics in report["summary"].items():
+            for name, s in metrics.items():
+                if name == "attempted":
+                    print(f"seed {seed} {workload}.attempted: "
+                          f"{s['parent']:g} -> {s['change']:g}")
+                    continue
+                print(f"seed {seed} {workload}.{name}: {s['parent']['median']:.6g} -> "
+                      f"{s['change']['median']:.6g} ({s['median_change']:+.1%}), "
+                      f"wins {s['change_wins']}, parent IQR {s['parent_iqr']:.3g}")
     if failed:
         print(f"{failed} ops failed their oracle", file=sys.stderr)
     return 1 if failed else 0

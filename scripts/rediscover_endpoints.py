@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Recover every interior interval endpoint from scratch: full-domain sweep
-at depth 62, then bisection + algebraic identification as a cross-check."""
+at depth 62, then, as a cross-check, bisection + algebraic identification
+from each row's target alone."""
 
-from fractions import Fraction
-
-from gppairs import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, bisect_jump, identify_halfint_sqrt2, min_poly_deg2, sweep
-from gppairs.discovery import halfint_form, value_at
+from gppairs import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, sweep
+from gppairs.discovery import halfint_form, rediscover_left_endpoint
 
 
 def main() -> int:
@@ -21,14 +20,8 @@ def main() -> int:
 
     print("\nbisection + identification cross-check:")
     for pair in THEOREM_TABLE[1:]:
-        xi = pair.xi1
-        approx = Fraction(xi.to_decimal(12))
-        target = value_at(xi, 62)
-        enc = bisect_jump(62, target, (approx - Fraction(1, 1000),
-                                       approx + Fraction(1, 1000)), tol_bits=200)
-        c, d = identify_halfint_sqrt2(enc)
-        poly = min_poly_deg2(enc)
-        match = halfint_form(xi) == (c, d)
+        _, (c, d), poly = rediscover_left_endpoint(pair, tol_bits=200)
+        match = halfint_form(pair.xi1) == (c, d)
         print(f"  row {pair.index}: (c,d)=({c},{d}) minpoly {poly}  "
               f"{'ok' if match else 'MISMATCH'}")
         ok &= match

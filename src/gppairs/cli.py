@@ -27,12 +27,10 @@ from .engine import (
 )
 from .discovery import (
     SweepBudgetError,
-    bisect_jump,
     certify_pair,
     halfint_form,
-    identify_halfint_sqrt2,
-    min_poly_deg2,
     reconstruct_table,
+    rediscover_left_endpoint,
     sweep,
     validate_partition,
     value_at,
@@ -125,30 +123,19 @@ def cmd_verify(args) -> dict:
 
 def cmd_discover(args) -> dict:
     pair = entry(args.row)
-    xi = pair.xi1
-    if (xi - DOMAIN_LO).sign() == 0:
+    if (pair.xi1 - DOMAIN_LO).sign() == 0:
         return {"inputs": {"row": args.row},
                 "results": [{"name": f"row {args.row} left endpoint", "pass": True,
                              "witness": "domain boundary 1-sqrt2/2; no jump to locate"}]}
-    depth = pair.certification_depth if pair.index != 5 else 62
-    # jump target: the constant value the trace takes just above the endpoint
-    target = value_at(xi, depth)
-    # coarse rational window around the endpoint from its truncated decimal
-    approx = Fraction(xi.to_decimal(12))
-    width = Fraction(1, 1000)
-    lo = max(approx - width, Fraction(2929, 10000))
-    hi = approx + width
     try:
-        enclosure = bisect_jump(depth, target, (lo, hi), args.tol_bits)
-        c, d = identify_halfint_sqrt2(enclosure)
-        poly = min_poly_deg2(enclosure)
-        ep = verify_endpoint(pair, "left")
-        ok = (halfint(c, d) - xi).sign() == 0 and ep.ok
+        _, (c, d), poly = rediscover_left_endpoint(pair, args.tol_bits)
+        xi = halfint(c, d)
+        ok = (xi - pair.xi1).sign() == 0 and verify_endpoint(pair, "left").ok
         results = [
             {"name": f"row {args.row} left endpoint", "pass": ok,
-             "witness": f"c={c} d={d} ({halfint(c, d).to_decimal()}...)"},
+             "witness": f"c={c} d={d} ({xi.to_decimal()}...)"},
             {"name": "minimal polynomial",
-             "pass": poly.eval_q(halfint(c, d)) == QSqrt2.of(0), "witness": str(poly)},
+             "pass": poly.eval_q(xi) == QSqrt2.of(0), "witness": str(poly)},
         ]
     except ValueError as exc:
         results = [{"name": f"row {args.row} discovery", "pass": False,

@@ -15,7 +15,7 @@ from .engine import (DELTA, SequenceSpec, SequenceTrace, _dyadic_floors, digits_
                      exact_step, generate)
 from .exact import QSqrt2, _sign, floor_q, floor_rat_sqrt2, integer_form, isqrt
 from .reals import RealInterval
-from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, halfint
+from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, entry, halfint
 
 HALFINT_BOUND = 1 << 34  # largest |c|, |d| that identify_halfint_sqrt2 accepts
 COEFF_BOUND = 1 << 34  # largest |coefficient| that min_poly_deg2 accepts
@@ -346,6 +346,29 @@ def _comp_value(target: AlgebraicTarget) -> int:
     return floor_rat_sqrt2(target.alpha, 1) + 2 * target.alpha
 
 
+# [1-sqrt2/2, sqrt2/2) rounded inward to 2^-64: both ends are irrational, so
+# the rounded ends lie strictly inside the domain
+_DOMAIN_WINDOW = (Fraction(floor_q(DOMAIN_LO * (1 << 64)) + 1, 1 << 64),
+                  Fraction(floor_q(DOMAIN_HI * (1 << 64)), 1 << 64))
+
+
+def rediscover_left_endpoint(pair: GPPairEntry, tol_bits: int
+                             ) -> tuple[RealInterval, tuple[int, int], QuadPoly]:
+    """Enclosure, (c, d) and minimal polynomial of a row's left endpoint,
+    found from its target alone: neither xi1 nor xi2 is read.  Every v_n is
+    nondecreasing in eps, so the endpoint is the least eps in the domain at
+    which v_{2(l+2)} reaches the (comp) value.  The direct case t = sqrt2
+    (row 5) starts where the row before it stops holding (comp).  Row 1
+    starts at the domain boundary, no jump, and raises ValueError."""
+    if pair.target.structure_ok():
+        depth, value = pair.certification_depth, _comp_value(pair.target)
+    else:
+        prev = entry(pair.index - 1)
+        depth, value = prev.certification_depth, _comp_value(prev.target) + 1
+    enclosure = bisect_jump(depth, value, _DOMAIN_WINDOW, tol_bits)
+    return enclosure, identify_halfint_sqrt2(enclosure), min_poly_deg2(enclosure)
+
+
 def _row_sweep(pair: GPPairEntry) -> list[SweepCell]:
     """The row's one certifying sweep, at depth 2(l+2) (62 for row 5): the
     cells next to [xi1, xi2) decide sharpness for every eps in them, so
@@ -363,8 +386,18 @@ def _around(cells: list[SweepCell], x: QSqrt2) -> tuple[SweepCell | None, SweepC
     return below, next((c for c in cells if c.hi > x), None)
 
 
+def _show(x: int | QSqrt2) -> str:
+    """str(x), or its size where x holds an integer with more digits than
+    Python converts to text."""
+    try:
+        return str(x)
+    except ValueError:
+        parts = integer_form(x) if isinstance(x, QSqrt2) else (x,)
+        return f"<{max(abs(n).bit_length() for n in parts)} bits>"
+
+
 def _span(cell: SweepCell) -> str:
-    return f"[{cell.lo}, {cell.hi})"
+    return f"[{_show(cell.lo)}, {_show(cell.hi)})"
 
 
 def certify_pair(pair: GPPairEntry) -> Certificate:
@@ -383,10 +416,10 @@ def certify_pair(pair: GPPairEntry) -> Certificate:
     ok = t.structure_ok()
     checks.append(CheckResult(
         "structure alpha odd, alpha+beta=2^(l+1)", ok,
-        f"alpha={t.alpha} beta={t.beta} l={t.l}"))
+        f"alpha={_show(t.alpha)} beta={_show(t.beta)} l={t.l}"))
     in_dom = DOMAIN_LO <= pair.xi1 < pair.xi2 <= DOMAIN_HI
     checks.append(CheckResult("interval within [1-sqrt2/2, sqrt2/2)", in_dom,
-                              f"[{pair.xi1}, {pair.xi2})"))
+                              f"[{_show(pair.xi1)}, {_show(pair.xi2)})"))
     if not (ok and in_dom):
         return Certificate(pair.index, tuple(checks))
 
@@ -399,20 +432,21 @@ def certify_pair(pair: GPPairEntry) -> Certificate:
                               ", ".join(map(_span, inside))))
     values = sorted({c.prefix[-1] for c in inside})
     checks.append(CheckResult("(comp) holds on [xi1, xi2)", values == [comp_target],
-                              f"v_{depth}={values} target={comp_target}"))
+                              f"v_{depth}=[{', '.join(map(_show, values))}] "
+                              f"target={_show(comp_target)}"))
 
     below, _ = _around(cells, pair.xi1)
     if below is not None:
         checks.append(CheckResult("(comp) fails just below xi1",
                                   below.prefix[-1] != comp_target,
-                                  f"v_{depth}={below.prefix[-1]}"))
+                                  f"v_{depth}={_show(below.prefix[-1])}"))
     else:
         notes.append("left endpoint is the domain boundary 1-sqrt2/2; "
                      "sharpness there comes from the (conditio) constraint")
     _, above = _around(cells, pair.xi2)
     if above is not None:
         checks.append(CheckResult("(comp) fails at xi2", above.prefix[-1] != comp_target,
-                                  f"v_{depth}(xi2)={above.prefix[-1]}"))
+                                  f"v_{depth}(xi2)={_show(above.prefix[-1])}"))
     else:
         notes.append("right endpoint is the domain boundary sqrt2/2; "
                      "sharpness there comes from the (conditio) constraint")
@@ -435,11 +469,11 @@ def certify_pair(pair: GPPairEntry) -> Certificate:
 class EndpointReport(NamedTuple):
     pair_index: int
     side: str
-    checks: tuple[tuple[str, bool, str], ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def ok(self) -> bool:
-        return all(p for _, p, _ in self.checks)
+        return all(c.passed for c in self.checks)
 
 
 def verify_endpoint(pair: GPPairEntry, side: str) -> EndpointReport:
@@ -453,17 +487,17 @@ def verify_endpoint(pair: GPPairEntry, side: str) -> EndpointReport:
     inner, outer = (at, below) if side == "left" else (below, at)
     at_xi = (at is None or at.lo == xi) and (below is None or below.hi == xi)
     if pair.index == 5:
-        return EndpointReport(5, side, (
-            ("breakpoint at xi", at_xi, f"{_span(inner)}; direct case: no (comp) check"),))
+        return EndpointReport(5, side, (CheckResult(
+            "breakpoint at xi", at_xi, f"{_span(inner)}; direct case: no (comp) check"),))
 
     target = _comp_value(pair.target)
     depth = pair.certification_depth
-    checks = [("breakpoint at xi", at_xi, _span(inner)),
-              ("(comp) holds inside", inner.prefix[-1] == target,
-               f"v_{depth}={inner.prefix[-1]} target={target}")]
+    checks = [CheckResult("breakpoint at xi", at_xi, _span(inner)),
+              CheckResult("(comp) holds inside", inner.prefix[-1] == target,
+                          f"v_{depth}={_show(inner.prefix[-1])} target={_show(target)}")]
     if outer is not None:
-        checks.append(("(comp) fails outside", outer.prefix[-1] != target,
-                       f"v_{depth}={outer.prefix[-1]}"))
+        checks.append(CheckResult("(comp) fails outside", outer.prefix[-1] != target,
+                                  f"v_{depth}={_show(outer.prefix[-1])}"))
     return EndpointReport(pair.index, side, tuple(checks))
 
 

@@ -18,17 +18,6 @@ from gppairs.table import THEOREM_TABLE, halfint
 from gppairs.discovery import halfint_form, value_at
 
 
-@pytest.fixture
-def int_str_limit():
-    """Python's default limit on the digits of an int converted to text."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python converts ints of any size to text")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 def run(capsys, *argv):
     """Exit status, stdout and stderr of one CLI run; argparse rejects some
     bad input itself, by SystemExit instead of a return value."""
@@ -136,10 +125,23 @@ class TestDiscover:
         assert code == 0
         assert "domain boundary" in rep["results"][0]["witness"]
 
-    def test_wrong_min_poly_fails(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("row", range(2, 9))
+    def test_rows_found_without_probing_the_endpoint(self, capsys, monkeypatch, row):
         import gppairs.cli
+
+        def no_probe(*args):
+            raise AssertionError("discover evaluated the trace at the endpoint")
+
+        monkeypatch.setattr(gppairs.cli, "value_at", no_probe)
+        code, rep = run_json(capsys, "discover", "--row", str(row))
+        assert code == 0
+        c, d = halfint_form(THEOREM_TABLE[row - 1].xi1)
+        assert rep["results"][0]["witness"].startswith(f"c={c} d={d} ")
+
+    def test_wrong_min_poly_fails(self, capsys, monkeypatch):
+        from gppairs import discovery
         from gppairs.discovery import QuadPoly
-        monkeypatch.setattr(gppairs.cli, "min_poly_deg2", lambda x: QuadPoly(1, 0, -2))
+        monkeypatch.setattr(discovery, "min_poly_deg2", lambda x: QuadPoly(1, 0, -2))
         code, rep = run_json(capsys, "discover", "--row", "6")
         assert code == 2
         poly = rep["results"][1]

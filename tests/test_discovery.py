@@ -14,11 +14,13 @@ from gppairs.discovery import (
     QuadPoly,
     SweepBudgetError,
     bisect_jump,
+    certify_pair,
     halfint_form,
     identify_halfint_sqrt2,
     lll_reduce,
     min_poly_deg2,
     reconstruct_table,
+    rediscover_left_endpoint,
     sweep,
     validate_partition,
     value_at,
@@ -426,6 +428,39 @@ class TestEndpoints:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             verify_endpoint(entry(2), "middle")
+
+
+class TestRediscover:
+    @pytest.mark.parametrize("row", range(2, 9))
+    def test_from_the_target_alone(self, row):
+        """The row's endpoints are replaced by the domain's, so only its
+        target (row 5: the row before's) can lead to xi1."""
+        xi1 = entry(row).xi1
+        blind = GPPairEntry(row, DOMAIN_LO, DOMAIN_HI, entry(row).target)
+        enclosure, cd, poly = rediscover_left_endpoint(blind, 200)
+        assert cd == halfint_form(xi1)
+        assert enclosure.contains(xi1) and enclosure.width <= Fraction(1, 1 << 200)
+        assert poly.eval_q(xi1) == QSqrt2.of(0)
+
+    def test_row_1_has_no_jump(self):
+        with pytest.raises(ValueError, match="does not bracket the jump"):
+            rediscover_left_endpoint(entry(1), 200)
+
+
+class TestLongIntegers:
+    """A witness names the size of an integer too long for str()."""
+
+    def test_target_past_the_digit_limit(self, int_str_limit):
+        big = AlgebraicTarget(2**15000 + 1, 2**15000 - 1, 15000)
+        cert = certify_pair(GPPairEntry(9, DOMAIN_HI, DOMAIN_HI + 1, big))
+        assert [c.passed for c in cert.checks] == [True, False]
+        assert cert.checks[0].witness == "alpha=<15001 bits> beta=<15000 bits> l=15000"
+
+    def test_endpoint_past_the_digit_limit(self, int_str_limit):
+        far = halfint(2**15000 + 1, 2**14999)
+        cert = certify_pair(GPPairEntry(2, DOMAIN_LO, far, entry(2).target))
+        assert [c.passed for c in cert.checks] == [True, False]
+        assert cert.checks[1].witness == f"[{DOMAIN_LO}, <15001 bits>)"
 
 
 class TestPartition:
