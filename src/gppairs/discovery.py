@@ -1,7 +1,7 @@
 """Endpoint-hunting machinery: exact piecewise-constant epsilon sweep,
 certification of whole rows and of their endpoints from one sweep each,
-bisection on trace values, algebraic identification of jump points,
-degree-2 minimal polynomials, and partition validation.
+jump enclosures read off one sweep of a window, algebraic identification of
+jump points, degree-2 minimal polynomials, and partition validation.
 """
 
 from __future__ import annotations
@@ -101,38 +101,36 @@ def value_at(epsilon, index: int) -> int:
 
 def bisect_jump(target_index: int, target_value: int,
                 window: tuple[Fraction, Fraction], tol_bits: int) -> RealInterval:
-    """Enclosure of inf{eps : v_n(eps) >= target_value} by interval halving.
+    """Enclosure of inf{eps : v_n(eps) >= target_value}: the window that
+    halving it to width <= 2^-tol_bits would reach, read off one sweep.
 
-    Every probe is an exact trace evaluation at a rational midpoint.  Each
-    v_k is nondecreasing in eps, so the first m values, on which the traces
-    at the window's two ends agree, are the same across the window: a probe
-    steps on from v_m, and m only grows as the window narrows.
+    v_n is nondecreasing in eps and constant on each swept cell, so the jump
+    xi is the lo of the first cell that reaches the target, or hi if none
+    does (an integer jump, c = 0, can sit exactly on a rational end).  After
+    K halvings the window is [lo + j*w, lo + (j+1)*w] with w = (hi-lo)/2^K
+    and lo + j*w < xi <= lo + (j+1)*w, so j = ceil((xi - lo)/w) - 1.
     """
     if tol_bits < 1:
         raise ValueError(f"tol_bits must be >= 1, got {tol_bits}")
     lo, hi = Fraction(window[0]), Fraction(window[1])
-    lo_v = list(generate(SequenceSpec(lo, target_index)).values)
-    hi_v = list(generate(SequenceSpec(hi, target_index)).values)
-    if not (lo_v[-1] < target_value <= hi_v[-1]):
+    v_lo = generate(SequenceSpec(lo, target_index)).values[-1]
+    v_hi = generate(SequenceSpec(hi, target_index)).values[-1]
+    if not (v_lo < target_value <= v_hi):
         raise ValueError(
-            f"window does not bracket the jump: v({lo})={lo_v[-1]}, "
-            f"v({hi})={hi_v[-1]}, target {target_value}")
-    tol = Fraction(1, 1 << tol_bits)
-    m = 1  # v_1 = 1 at every eps
-    while hi - lo > tol:
-        # the ends differ at v_n, so the scan stops before it
-        while lo_v[m] == hi_v[m]:
-            m += 1
-        mid = (lo + hi) / 2
-        form = (mid.numerator, 0, mid.denominator)  # integer_form of mid
-        v = lo_v[:m]
-        for k in range(m, target_index):
-            v.append(exact_step(v[-1], k, form))
-        if v[-1] >= target_value:
-            hi, hi_v = mid, v
-        else:
-            lo, lo_v = mid, v
-    return RealInterval(lo, hi, tol_bits)
+            f"window does not bracket the jump: v({lo})={v_lo}, "
+            f"v({hi})={v_hi}, target {target_value}")
+    cells = sweep(QSqrt2.of(lo), QSqrt2.of(hi), target_index)
+    xi = next((c.lo for c in cells if c.prefix[-1] >= target_value), cells[-1].hi)
+    # the least K >= 0 with hi - lo <= 2^(K - tol_bits): with a/b the width
+    # times 2^tol_bits, the bit-length difference of a and b, or one more
+    span = hi - lo
+    a, b = span.numerator << tol_bits, span.denominator
+    k = max(0, a.bit_length() - b.bit_length())
+    if b << k < a:
+        k += 1
+    w = span / (1 << k)
+    j = -floor_q((lo - xi) / w) - 1
+    return RealInterval(lo + j * w, lo + (j + 1) * w, tol_bits)
 
 
 # --- integer lattice reduction (exact, small dimension) ---------------------
@@ -357,9 +355,10 @@ def rediscover_left_endpoint(pair: GPPairEntry, tol_bits: int
     """Enclosure, (c, d) and minimal polynomial of a row's left endpoint,
     found from its target alone: neither xi1 nor xi2 is read.  Every v_n is
     nondecreasing in eps, so the endpoint is the least eps in the domain at
-    which v_{2(l+2)} reaches the (comp) value.  The direct case t = sqrt2
-    (row 5) starts where the row before it stops holding (comp).  Row 1
-    starts at the domain boundary, no jump, and raises ValueError."""
+    which v_{2(l+2)} reaches the (comp) value, read off one sweep of the
+    domain by bisect_jump.  The direct case t = sqrt2 (row 5) starts where
+    the row before it stops holding (comp).  Row 1 starts at the domain
+    boundary, no jump, and raises ValueError."""
     if pair.target.structure_ok():
         depth, value = pair.certification_depth, _comp_value(pair.target)
     else:
@@ -456,7 +455,7 @@ def certify_pair(pair: GPPairEntry) -> Certificate:
     bad = sorted({k for c in inside for k in range(0, t.l + 2)
                   if c.prefix[2 * k] != fl(k - 1) + (1 << k)})
     checks.append(CheckResult("(odd) for 0<=k<=l+1 on [xi1, xi2)", not bad,
-                              f"failing k={bad}" if bad else "all k"))
+                              f"{len(bad)} failing k, first {bad[:5]}" if bad else "all k"))
 
     if pair.index == 6 and comp_target != 2749487923:
         notes.append(

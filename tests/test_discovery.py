@@ -175,6 +175,7 @@ def _row_window(row: int, below: int, above: int):
 
 _DOMAIN_POINTS = st.fractions(min_value=Fraction(2929, 10**4),
                               max_value=Fraction(7070, 10**4), max_denominator=10**9)
+_EIGHTHS = st.integers(-64, 24).map(lambda k: Fraction(k, 8))  # [-8, 3]
 
 
 class TestBisect:
@@ -202,10 +203,11 @@ class TestBisect:
         assert (enc.lo, enc.hi, enc.bits) == (box.lo, box.hi, 40)
 
     def test_probes_step_on_from_the_shared_prefix(self, monkeypatch):
-        """Row 6's jump is at a late step, so after the first few halvings
-        a probe takes a handful of steps: 698 in all, where whole 61-step
-        probes take 11834, and advancing the shared prefix by at most one
-        value per probe 2351."""
+        """The jump is read off one sweep of the window: the two bracketing
+        traces and the sweep's cells, which share every value before the
+        step that jumps, take 186 steps in all, where halving with one
+        probe per halving took 698 stepped on from the shared prefix and
+        11834 as whole 61-step traces."""
         target = value_at(entry(6).xi1, 62)
         calls = 0
 
@@ -218,7 +220,30 @@ class TestBisect:
         monkeypatch.setattr("gppairs.engine.exact_step", counting_step)
         enc = bisect_jump(62, target, _row_window(6, 1000, 1000), 200)
         assert identify_halfint_sqrt2(enc) == halfint_form(entry(6).xi1)
-        assert calls < 1500
+        assert calls < 400
+
+    def test_jump_on_the_right_end(self):
+        """v_2 reaches 0 at the integer -1, the window's right end, so no
+        swept cell of [-15/8, -1) reaches the target."""
+        enc = bisect_jump(2, 0, (Fraction(-15, 8), Fraction(-1)), 10)
+        assert (enc.lo, enc.hi) == (Fraction(-8199, 8192), Fraction(-1))
+
+    def test_rational_jump_on_a_grid_point(self):
+        """-1 is a halving's midpoint, and the upper end of the window
+        the halving keeps."""
+        enc = bisect_jump(2, 0, (Fraction(-9, 8), Fraction(-7, 8)), 10)
+        assert (enc.lo, enc.hi) == (Fraction(-1025, 1024), Fraction(-1))
+
+    @given(_EIGHTHS, _EIGHTHS, st.integers(2, 20),
+           st.one_of(st.just(Fraction(-1)), _EIGHTHS), st.integers(-1, 1), st.integers(1, 40))
+    @example(Fraction(-3, 2), Fraction(-1, 2), 7, Fraction(-1), 0, 20)
+    @example(Fraction(-5, 2), Fraction(-1), 19, Fraction(-1), 0, 30)
+    @settings(max_examples=120, deadline=None)
+    def test_off_domain_same_as_plain_halving(self, a, b, n, x, offset, tol_bits):
+        """Off the domain v_n jumps at the integer -1, which ends in eighths
+        put on window ends and on halving grid points."""
+        lo, hi = min(a, b), max(a, b)
+        _same_as_halving(n, value_at(x, n) + offset, (lo, hi), tol_bits)
 
     @pytest.mark.parametrize("tol_bits", [0, -1, -5])
     def test_tol_bits_below_1_rejected(self, tol_bits):
@@ -461,6 +486,20 @@ class TestLongIntegers:
         cert = certify_pair(GPPairEntry(2, DOMAIN_LO, far, entry(2).target))
         assert [c.passed for c in cert.checks] == [True, False]
         assert cert.checks[1].witness == f"[{DOMAIN_LO}, <15001 bits>)"
+
+
+class TestOddWitness:
+    def test_counts_the_failing_k_and_names_five(self):
+        """Every k from 1 to l+1 = 201 fails for this target on row 8."""
+        pair = entry(8)
+        wrong = AlgebraicTarget(2**200 + 1, 2**200 - 1, 200)
+        odd = certify_pair(GPPairEntry(8, pair.xi1, pair.xi2, wrong)).checks[-1]
+        assert odd.name.startswith("(odd)") and not odd.passed
+        assert odd.witness == "201 failing k, first [1, 2, 3, 4, 5]"
+
+    def test_all_k_when_none_fail(self):
+        odd = certify_pair(entry(8)).checks[-1]
+        assert odd.name.startswith("(odd)") and odd.passed and odd.witness == "all k"
 
 
 class TestPartition:
