@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -42,27 +43,17 @@ from .reals import (ParseError, RefinableReal, UndecidableError, exact_value, fo
 from .table import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, entry, halfint
 
 
-class EpsilonInput:
-    """Parsed epsilon: exact Q(sqrt2) when possible, else a refinable real."""
-
-    def __init__(self, raw: str):
-        self.raw = raw
-        self.expression = parse_expr(raw)
-        self.exact = exact_value(self.expression)
-
-    @property
-    def value(self):
-        if self.exact is not None:
-            return self.exact
-        return RefinableReal(self.expression)
-
-    def canonical(self) -> str:
-        if self.exact is not None:
-            try:
-                return str(self.exact)
-            except ValueError:  # an integer past Python's int-to-str digit limit
-                pass
-        return format_expr(self.expression)
+def _read_epsilon(text: str) -> tuple[QSqrt2 | RefinableReal, str]:
+    """The offset `text` names, exact in Q(sqrt2) when possible, else a
+    refinable real, and its echo for the report."""
+    expression = parse_expr(text)
+    exact = exact_value(expression)
+    if exact is None:
+        return RefinableReal(expression), format_expr(expression)
+    try:
+        return exact, str(exact)
+    except ValueError:  # an integer past Python's int-to-str digit limit
+        return exact, format_expr(expression)
 
 
 def _decimal(n: int) -> str:
@@ -76,16 +67,15 @@ def _decimal(n: int) -> str:
 
 
 # Each cmd_* returns its report body: "inputs", "results", optional
-# "anomalies" and any extra keys, or None once it has written CSV.  `main`
+# "anomalies" and any extra keys, or None once it has written CSV.  `_run`
 # adds the common keys, prints the JSON and picks the exit status.
 
 def cmd_digits(args) -> dict:
-    eps = EpsilonInput(args.epsilon)
-    spec = SequenceSpec(eps.value, depth=2 * args.count + 1, max_bits=args.max_bits)
-    trace = generate(spec)
+    eps, echo = _read_epsilon(args.epsilon)
+    trace = generate(SequenceSpec(eps, depth=2 * args.count + 1, max_bits=args.max_bits))
     stream = digits_from_trace(trace, args.count)
     anomalies = [{"index": i, "digit": d} for i, d in stream.anomalies()]
-    return {"inputs": {"epsilon": eps.canonical(), "count": args.count},
+    return {"inputs": {"epsilon": echo, "count": args.count},
             "results": [{"name": "digits", "pass": not anomalies,
                          "witness": " ".join(map(_decimal, stream.digits))}],
             "anomalies": anomalies}
@@ -209,14 +199,14 @@ def cmd_plotdata(args) -> dict | None:
 
 
 def cmd_counterexample(args) -> dict:
-    eps = EpsilonInput(args.epsilon)
-    if eps.exact is None:
+    eps, echo = _read_epsilon(args.epsilon)
+    if not isinstance(eps, QSqrt2):
         raise ValueError("counterexample scan requires an exact epsilon")
-    hit = first_bad_digit(eps.exact, args.limit)
+    hit = first_bad_digit(eps, args.limit)
     anomalies = []
     if hit is not None:
         anomalies.append({"index": hit[0], "digit": hit[1]})
-    return {"inputs": {"epsilon": eps.canonical(), "limit": args.limit},
+    return {"inputs": {"epsilon": echo, "limit": args.limit},
             "results": [{"name": "first bad digit", "pass": True,
                          "witness": f"({hit[0]}, {_decimal(hit[1])})" if hit else "none"}],
             "anomalies": anomalies}
@@ -389,6 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a short report meets a closed stdout only here
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # shutdown prints nothing (the SIGPIPE note in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return 1
+
+
+def _run(args) -> int:
     started = time.monotonic()
     try:
         body = args.func(args)

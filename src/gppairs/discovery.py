@@ -95,8 +95,7 @@ def sweep(lo: QSqrt2, hi: QSqrt2, depth: int, cell_budget: int = 10**6) -> list[
 
 def value_at(epsilon, index: int) -> int:
     """v_index(epsilon) by direct exact generation."""
-    eps = epsilon if isinstance(epsilon, QSqrt2) else QSqrt2.of(Fraction(epsilon))
-    return generate(SequenceSpec(eps, depth=index)).values[index - 1]
+    return generate(SequenceSpec(epsilon, depth=index)).values[index - 1]
 
 
 def bisect_jump(target_index: int, target_value: int,

@@ -29,49 +29,26 @@ def _as_eps(eps) -> QSqrt2 | RefinableReal:
     return eps
 
 
-class SequenceSpec:
+class _SpecFields(NamedTuple):
+    epsilon: QSqrt2 | RefinableReal
+    depth: int
+    max_bits: int
+
+
+class SequenceSpec(_SpecFields):
     """Recurrence configuration: offset eps on odd steps, 1/2 on even ones.
 
     A rational epsilon is stored as a QSqrt2.  Values are immutable:
     setting an attribute raises AttributeError.
     """
 
-    __slots__ = ("epsilon", "depth", "max_bits")
+    __slots__ = ()
 
-    def __init__(self, epsilon: QSqrt2 | RefinableReal | int | Fraction, depth: int,
-                 max_bits: int = 4096):
+    def __new__(cls, epsilon: QSqrt2 | RefinableReal | int | Fraction, depth: int,
+                max_bits: int = 4096):
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        _set_epsilon(self, _as_eps(epsilon))
-        _set_depth(self, depth)
-        _set_max_bits(self, max_bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"SequenceSpec is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"SequenceSpec is immutable: cannot delete {name!r}")
-
-    def _key(self) -> tuple:
-        return self.epsilon, self.depth, self.max_bits
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not SequenceSpec:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (f"SequenceSpec(epsilon={self.epsilon!r}, depth={self.depth!r}, "
-                f"max_bits={self.max_bits!r})")
-
-
-# the slots are written only in SequenceSpec.__init__, past __setattr__
-_set_epsilon = SequenceSpec.epsilon.__set__
-_set_depth = SequenceSpec.depth.__set__
-_set_max_bits = SequenceSpec.max_bits.__set__
+        return super().__new__(cls, _as_eps(epsilon), depth, max_bits)
 
 
 class SequenceTrace(NamedTuple):
@@ -202,7 +179,7 @@ def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
     if ks and ks[0] < k_min:
         raise ValueError(f"row {index} closed forms need k >= {k_min}")
     depth = 2 * ks[-1] + 2
-    tr = generate(SequenceSpec(_as_eps(epsilon), depth=depth))
+    tr = generate(SequenceSpec(epsilon, depth=depth))
     fl = _dyadic_floors(t.value(), max(ks[-1] - 1, 0))  # fl(j) = floor(t*2^j)
 
     odd_bad = []

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from math import isqrt  # re-exported: r with r*r <= n < (r+1)*(r+1)
 
 _RatLike = int | Fraction
-
-
-def isqrt(n: int) -> int:
-    """Integer square root: r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise ValueError(f"isqrt of negative integer {n}")
-    return math.isqrt(n)
 
 
 def _sign(p: int, r: int) -> int:

@@ -64,6 +64,9 @@ class RealInterval:
     def __delattr__(self, name):
         raise AttributeError(f"RealInterval is immutable: cannot delete {name!r}")
 
+    def __reduce__(self):
+        return RealInterval, (self.lo, self.hi, self.bits)
+
     def _key(self) -> tuple:
         return self.lo, self.hi, self.bits
 

@@ -374,3 +374,25 @@ def test_import_leaves_out_dataclasses():
          "import sys, gppairs.cli; print('dataclasses' in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv, read", [
+    # 102 KB as CSV and 132 KB as JSON outgrow a 64 KiB pipe buffer, so the
+    # writer meets the closed end; a short report meets it at the last flush
+    (["sweep", "--depth", "401", "--csv"], 10),
+    (["sweep", "--depth", "401"], 10),
+    (["digits", "--epsilon", "1/2", "--count", "5"], 0),
+], ids=["csv", "json", "short"])
+def test_closed_stdout_gives_one_line(argv, read):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gppairs.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gppairs.cli", "--no-timing", *argv],
+        env=dict(env, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err and "Exception ignored" not in err

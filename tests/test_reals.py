@@ -1,6 +1,8 @@
 """Interval enclosures, constants, the expression grammar, certified floors."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -233,6 +235,41 @@ class TestRefinableReal:
         a = x.refine(128)
         b = x.refine(64)  # lower request served from the cache
         assert a == b
+
+
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+               "pickle": lambda x: pickle.loads(pickle.dumps(x))}
+IMMUTABLE = [
+    pytest.param(value, name, id=f"{type(value).__name__}.{name}")
+    for value, names in ((SequenceSpec(Fraction(1, 2), 5), ("epsilon", "depth", "max_bits")),
+                         (RealInterval(Fraction(1, 3), Fraction(1, 2), 8), ("lo", "hi", "bits")))
+    for name in names]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("value, name", IMMUTABLE)
+    def test_immutable(self, value, name):
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert repr(value) == before
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+    def test_copy_and_pickle(self, trip):
+        iv = RealInterval(Fraction(1, 3), Fraction(1, 2), 8)
+        spec = SequenceSpec(Fraction(1, 2), 5)
+        assert trip(iv) == iv
+        assert trip(spec) == spec and type(trip(spec)) is SequenceSpec
+        x = RefinableReal("1-pi^2/e^3")
+        x.refine(128)
+        assert trip(x)._cached == x._cached
+
+    def test_spec_repr(self):
+        assert repr(SequenceSpec(Fraction(1, 2), 5)) == (
+            "SequenceSpec(epsilon=QSqrt2(a=Fraction(1, 2), b=Fraction(0, 1)), "
+            "depth=5, max_bits=4096)")
 
 
 DYADIC = st.one_of(st.just(Fraction(0)),
