@@ -253,6 +253,10 @@ def cmd_sweep(args) -> dict | None:
 
 
 def cmd_table(args) -> dict:
+    least = 2 * args.digit_depth + 1
+    if args.depth < least:
+        raise ValueError(f"--depth must be at least 2*--digit-depth + 1 = {least}, "
+                         f"got {args.depth}")
     recon = reconstruct_table(args.depth, args.digit_depth, args.l_bound)
     part = validate_partition(THEOREM_TABLE)
     results = [

@@ -13,12 +13,11 @@ from typing import NamedTuple
 
 from .engine import (DELTA, SequenceSpec, SequenceTrace, _dyadic_floors, digits_from_trace,
                      exact_step, generate)
-from .exact import QSqrt2, _sign, floor_q, floor_rat_sqrt2, integer_form, isqrt
+from .exact import QSqrt2, _sign, floor_q, floor_rat_sqrt2, integer_form
 from .reals import RealInterval
 from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, entry, halfint
 
 HALFINT_BOUND = 1 << 34  # largest |c|, |d| that identify_halfint_sqrt2 accepts
-COEFF_BOUND = 1 << 34  # largest |coefficient| that min_poly_deg2 accepts
 
 
 class SweepBudgetError(RuntimeError):
@@ -132,72 +131,6 @@ def bisect_jump(target_index: int, target_value: int,
     return RealInterval(lo + j * w, lo + (j + 1) * w, tol_bits)
 
 
-# --- integer lattice reduction (exact, small dimension) ---------------------
-
-def lll_reduce(basis: list[list[int]]) -> list[list[int]]:
-    """Integral LLL, delta = 3/4 (Cohen, Alg. 2.6.7); small fixed dimensions.
-
-    Only integers are carried: d[i] is the Gram determinant of the first i
-    rows and lam[k][j] = d[j+1]*mu_kj, and every division is exact.  A
-    linearly dependent basis raises ValueError.
-    """
-    b = [list(row) for row in basis]
-    n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
-    for k in range(n):
-        for j in range(k + 1):
-            u = dot(b[k], b[j])
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-        if u == 0:
-            raise ValueError(f"lll_reduce: basis is linearly dependent (row {k})")
-        d[k + 1] = u
-
-    def reduce(k, j):
-        if 2 * abs(lam[k][j]) > d[j + 1]:
-            q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-            lam[k][j] -= q * d[j + 1]
-            for i in range(j):
-                lam[k][i] -= q * lam[j][i]
-
-    k = 1
-    while k < n:
-        reduce(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
-            # swap rows k-1 and k, updating d[k] and the lam of later rows
-            b[k - 1], b[k] = b[k], b[k - 1]
-            for j in range(k - 1):
-                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
-            m = lam[k][k - 1]
-            new_d = (d[k - 1] * d[k + 1] + m * m) // d[k]
-            for i in range(k + 1, n):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-                lam[i][k - 1] = (new_d * t + m * lam[i][k]) // d[k + 1]
-            d[k] = new_d
-            k = max(k - 1, 1)
-        else:
-            for j in range(k - 2, -1, -1):
-                reduce(k, j)
-            k += 1
-    return b
-
-
-def _width_bits(iv: RealInterval) -> int:
-    w = iv.width
-    if w == 0:
-        return 400
-    return max(8, w.denominator.bit_length() - w.numerator.bit_length())
-
-
 def _sqrt2_half_min_gap(bound: int) -> QSqrt2:
     """The least nonzero |q*(sqrt2/2) - p| with 1 <= q <= 2*bound (bound >= 1).
 
@@ -217,43 +150,58 @@ def _sqrt2_half_min_gap(bound: int) -> QSqrt2:
 _HALFINT_GAP = _sqrt2_half_min_gap(HALFINT_BOUND)
 
 
-def identify_halfint_sqrt2(x: RealInterval) -> tuple[int, int]:
-    """The unique (c, d) with (c/2)*sqrt2 - d inside the interval.
+def _unit_powers(bound: int) -> list[tuple[int, int]]:
+    """(a_k, b_k) with (1+sqrt2)^k = a_k + b_k*sqrt2 for k = 0..K, K the
+    least k with (sqrt2-1)^k*(2+sqrt2)*bound < 1/2, that is with
+    (4 + 2*sqrt2)*bound < (1+sqrt2)^k."""
+    powers = [(1, 0)]
+    while _sign(powers[-1][0] - 4 * bound, powers[-1][1] - 2 * bound) <= 0:
+        a, b = powers[-1]
+        powers.append((a + 2 * b, a + b))
+    return powers
 
-    Uses an exact integer-relation search on (sqrt2/2, 1, x); the candidate
-    is verified by exact interval membership and uniqueness by the best
-    approximation gap of sqrt2/2.
+
+_UNIT_POWERS = _unit_powers(HALFINT_BOUND)
+
+
+def identify_halfint_sqrt2(x: RealInterval) -> tuple[int, int]:
+    """The unique (c, d) with (c/2)*sqrt2 - d inside the interval, read
+    through the unit 1+sqrt2.
+
+    z = 2x = c*sqrt2 - 2d is in Z[sqrt2], and its conjugate -c*sqrt2 - 2d is
+    at most (2+sqrt2)*HALFINT_BOUND in size.  w = z*(1+sqrt2)^k = m + n*sqrt2
+    has conjugate m - n*sqrt2 = z'*(1-sqrt2)^k, below 1/2 at k = K, and then
+    m and n are w/2 and (w - m)*sqrt2/2 rounded.  w is taken from the
+    midpoint, which moves it by at most width*(1+sqrt2)^k <= 1/8 at the
+    largest k <= K that the width allows; z = w*(sqrt2-1)^k comes back
+    exactly.  The candidate is verified by exact interval membership and
+    uniqueness by the best approximation gap of sqrt2/2.
     """
-    mid = x.mid
-    wb = _width_bits(x)
-    for sb in (wb - 4, wb - 12, wb + 8, wb // 2 + 16):
-        if sb < 16:
-            continue
-        s = 1 << sb
-        t_scaled = floor_rat_sqrt2(s, 2)
-        x_scaled = mid.numerator * s // mid.denominator
-        rows = lll_reduce([[1, 0, 0, t_scaled], [0, 1, 0, s], [0, 0, 1, x_scaled]])
-        for row in sorted(rows, key=lambda r: sum(v * v for v in r)):
-            if abs(row[2]) != 1:
-                continue
-            if row[2] == -1:
-                c, d = row[0], -row[1]
-            else:
-                c, d = -row[0], row[1]
-            if abs(c) > HALFINT_BOUND or abs(d) > HALFINT_BOUND:
-                continue
-            cand = QSqrt2(Fraction(-d), Fraction(c, 2))
-            if x.contains(cand):
-                if _HALFINT_GAP < x.width:
-                    raise IdentificationError(
-                        "interval admits multiple (c,d) candidates; tighten it")
-                return c, d
+    p, q = x.width.numerator, x.width.denominator
+    k = sum(8 * p * (a + 2 * b) <= q for a, b in _UNIT_POWERS) - 1
+    if k >= 0:
+        a, b = _UNIT_POWERS[k]
+        mid = x.mid
+        half_w = QSqrt2(mid * a, mid * b)
+        m = floor_q(half_w + Fraction(1, 2))
+        n = floor_q((half_w * 2 - m) * QSqrt2(0, Fraction(1, 2)) + Fraction(1, 2))
+        # (sqrt2-1)^k = (-1)^k*(a - b*sqrt2)
+        sgn = -1 if k % 2 else 1
+        c, two_d = sgn * (n * a - m * b), -sgn * (m * a - 2 * n * b)
+        d = two_d // 2
+        if (two_d % 2 == 0 and abs(c) <= HALFINT_BOUND and abs(d) <= HALFINT_BOUND
+                and x.contains(halfint(c, d))):
+            if _HALFINT_GAP < x.width:
+                raise IdentificationError(
+                    "interval admits multiple (c,d) candidates; tighten it")
+            return c, d
     raise IdentificationError(
         "no (c/2)*sqrt2 - d candidate found in the interval; tighten it")
 
 
 class QuadPoly(NamedTuple):
-    """Content-free integer quadratic a2 x^2 + a1 x + a0 with a2 > 0."""
+    """Content-free integer polynomial a2 x^2 + a1 x + a0 with a2 > 0, or
+    with a2 = 0 and a1 = 1 for an integer root."""
 
     a2: int
     a1: int
@@ -267,58 +215,16 @@ class QuadPoly(NamedTuple):
 
 
 def min_poly_deg2(x: RealInterval) -> QuadPoly:
-    """Integer quadratic annihilating the enclosed value, by integer-relation
-    search on (x^2, x, 1); exact root membership is verified when the root
-    lies in Q(sqrt2)."""
-    mid = x.mid
-    wb = _width_bits(x)
-    for sb in (wb - 4, wb - 12, wb // 2 + 16):
-        if sb < 16:
-            continue
-        s = 1 << sb
-        x1 = mid.numerator * s // mid.denominator
-        m2 = mid * mid
-        x2 = m2.numerator * s // m2.denominator
-        rows = lll_reduce([[1, 0, 0, x2], [0, 1, 0, x1], [0, 0, 1, s]])
-        for row in sorted(rows, key=lambda r: sum(v * v for v in r)):
-            a2, a1, a0 = row[0], row[1], row[2]
-            if (a2, a1, a0) == (0, 0, 0):
-                continue
-            if max(abs(a2), abs(a1), abs(a0)) > COEFF_BOUND:
-                continue
-            if a2 < 0 or (a2 == 0 and a1 < 0):
-                a2, a1, a0 = -a2, -a1, -a0
-            g = gcd(gcd(abs(a2), abs(a1)), abs(a0))
-            a2, a1, a0 = a2 // g, a1 // g, a0 // g
-            # residual must be explained by the interval width
-            pm = a2 * mid * mid + a1 * mid + a0
-            slope = abs(2 * a2 * mid + a1) + abs(a2)
-            if abs(pm) <= slope * x.width * 4 + Fraction(1, 1 << (sb - 8)):
-                poly = QuadPoly(a2, a1, a0)
-                _verify_quad_root(poly, x)
-                return poly
-    raise IdentificationError("no degree-2 polynomial matches the enclosure")
-
-
-def _verify_quad_root(poly: QuadPoly, x: RealInterval) -> None:
-    """If the root is in Q(sqrt2), require it to lie in the interval and be
-    an exact root."""
-    if poly.a2 == 0:
-        return
-    disc = poly.a1 * poly.a1 - 4 * poly.a2 * poly.a0
-    if disc < 0 or disc % 2 != 0:
-        return
-    s = isqrt(disc // 2)
-    if 2 * s * s != disc:
-        return
-    for sgn in (1, -1):
-        root = QSqrt2(Fraction(-poly.a1, 2 * poly.a2), Fraction(sgn * s, 2 * poly.a2))
-        if x.contains(root):
-            if poly.eval_q(root) != QSqrt2.of(0):
-                raise IdentificationError(
-                    f"{poly} does not annihilate its Q(sqrt2) root {root}")
-            return
-    raise IdentificationError(f"{poly} has no root inside the enclosure")
+    """Minimal polynomial of the (c/2)*sqrt2 - d that identify_halfint_sqrt2
+    names in the enclosure: (x + d)^2 = c^2/2, that is
+    2x^2 + 4dx + 2d^2 - c^2 over its content, or x + d when c = 0.  Any
+    other enclosed value raises IdentificationError."""
+    c, d = identify_halfint_sqrt2(x)
+    if c == 0:
+        return QuadPoly(0, 1, d)
+    a2, a1, a0 = 2, 4 * d, 2 * d * d - c * c
+    g = gcd(a2, a1, a0)
+    return QuadPoly(a2 // g, a1 // g, a0 // g)
 
 
 class CheckResult(NamedTuple):

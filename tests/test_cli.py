@@ -260,6 +260,7 @@ class TestPlotdata:
     (("sweep", "--cell-budget", "-5"), "argument --cell-budget: must be at least 1"),
     # zero digits would pass vacuously
     (("digits", "--epsilon", "1/2", "--count", "0"), "argument --count: must be at least 1"),
+    (("table", "--depth", "1"), "--depth must be at least 2*--digit-depth + 1 = 21, got 1"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
