@@ -92,9 +92,9 @@ def cmd_verify(args) -> dict:
             m = verify_pair(pair, eps, args.depth)
             results.append({"name": f"pair {i} digits at {label}", "pass": m.matched,
                             "witness": "" if m.matched else str(m.first_mismatch)})
-        if i == 5:
-            cf = closed_form_check(5, pair.midpoint, range(1, 51))
-            results.append({"name": "pair 5 closed forms (odd + corrected even)",
+        if pair.target.direct:
+            cf = closed_form_check(i, pair.midpoint, range(1, 51))
+            results.append({"name": f"pair {i} closed forms (odd + corrected even)",
                             "pass": cf.odd_ok and bool(cf.corrected_even_ok),
                             "witness": f"printed even form matches: {cf.printed_even_ok}"})
         else:

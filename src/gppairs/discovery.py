@@ -15,7 +15,8 @@ from .engine import (DELTA, SequenceSpec, SequenceTrace, _dyadic_floors, digits_
                      exact_step, generate)
 from .exact import QSqrt2, _sign, floor_q, floor_rat_sqrt2, integer_form
 from .reals import RealInterval
-from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, entry, halfint
+from .table import (DOMAIN_HI, DOMAIN_LO, SQRT2_TARGET, AlgebraicTarget, GPPairEntry, entry,
+                    halfint)
 
 HALFINT_BOUND = 1 << 34  # largest |c|, |d| that identify_halfint_sqrt2 accepts
 
@@ -261,26 +262,25 @@ def rediscover_left_endpoint(pair: GPPairEntry, tol_bits: int
     found from its target alone: neither xi1 nor xi2 is read.  Every v_n is
     nondecreasing in eps, so the endpoint is the least eps in the domain at
     which v_{2(l+2)} reaches the (comp) value, read off one sweep of the
-    domain by bisect_jump.  The direct case t = sqrt2 (row 5) starts where
-    the row before it stops holding (comp).  Row 1 starts at the domain
-    boundary, no jump, and raises ValueError."""
-    if pair.target.structure_ok():
-        depth, value = pair.certification_depth, _comp_value(pair.target)
-    else:
+    domain by bisect_jump.  The direct case starts where the row before it
+    stops holding (comp).  Row 1 starts at the domain boundary, no jump,
+    and raises ValueError."""
+    if pair.target.direct:
         prev = entry(pair.index - 1)
         depth, value = prev.certification_depth, _comp_value(prev.target) + 1
+    else:
+        depth, value = pair.certification_depth, _comp_value(pair.target)
     enclosure = bisect_jump(depth, value, _DOMAIN_WINDOW, tol_bits)
     return enclosure, identify_halfint_sqrt2(enclosure), min_poly_deg2(enclosure)
 
 
 def _row_sweep(pair: GPPairEntry) -> list[SweepCell]:
-    """The row's one certifying sweep, at depth 2(l+2) (62 for row 5): the
+    """The row's one certifying sweep, at its certification depth: the
     cells next to [xi1, xi2) decide sharpness for every eps in them, so
     DELTA only sets how far past each endpoint the window reaches."""
-    depth = pair.certification_depth if pair.index != 5 else 62
     margin = QSqrt2.of(DELTA)
     return sweep(max(pair.xi1 - margin, DOMAIN_LO), min(pair.xi2 + margin, DOMAIN_HI),
-                 depth)
+                 pair.certification_depth)
 
 
 def _around(cells: list[SweepCell], x: QSqrt2) -> tuple[SweepCell | None, SweepCell | None]:
@@ -306,13 +306,13 @@ def _span(cell: SweepCell) -> str:
 
 def certify_pair(pair: GPPairEntry) -> Certificate:
     """Finite exact checks that, with the two universal lemmas, establish the
-    pair for all n.  Rows other than 5 only; row 5 uses closed_form_check.
+    pair for all n.  Not for the direct case, which uses closed_form_check.
 
     All are read off one sweep and hold for every eps: [xi1, xi2) is one
     cell with (comp) and the (odd) base cases, the cells next to it fail (comp).
     """
-    if pair.index == 5:
-        raise ValueError("row 5 is the direct case; use closed_form_check")
+    if pair.target.direct:
+        raise ValueError(f"row {pair.index} is the direct case; use closed_form_check")
     t = pair.target
     checks: list[CheckResult] = []
     notes: list[str] = []
@@ -382,16 +382,16 @@ class EndpointReport(NamedTuple):
 
 def verify_endpoint(pair: GPPairEntry, side: str) -> EndpointReport:
     """Exact confirmation, read off the row's one sweep, that an endpoint is
-    a breakpoint and, except on row 5, a sharp (comp) one: (comp) holds on
-    the cell on the interval's side and fails on the other."""
+    a breakpoint and, except in the direct case, a sharp (comp) one: (comp)
+    holds on the cell on the interval's side and fails on the other."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     xi = pair.xi1 if side == "left" else pair.xi2
     below, at = _around(_row_sweep(pair), xi)
     inner, outer = (at, below) if side == "left" else (below, at)
     at_xi = (at is None or at.lo == xi) and (below is None or below.hi == xi)
-    if pair.index == 5:
-        return EndpointReport(5, side, (CheckResult(
+    if pair.target.direct:
+        return EndpointReport(pair.index, side, (CheckResult(
             "breakpoint at xi", at_xi, f"{_span(inner)}; direct case: no (comp) check"),))
 
     target = _comp_value(pair.target)
@@ -461,7 +461,7 @@ def _first_target(digits: tuple[int, ...], l_bound: int) -> AlgebraicTarget | No
         return None
     n, p = len(digits), int("".join(map(str, digits)), 2)
     if floor_rat_sqrt2(1 << (n - 1), 1) == p:
-        return AlgebraicTarget(1, 0, 0)  # t = sqrt2, the direct case
+        return SQRT2_TARGET
     m = p + (1 << n)
     for l in range(l_bound + 1):
         s = QSqrt2(-1, 1) * Fraction(2) ** (l + 1 - n)

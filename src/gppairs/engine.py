@@ -81,12 +81,8 @@ def generate(spec: SequenceSpec) -> SequenceTrace:
         if form is not None or n % 2 == 0:
             values.append(exact_step(v, n, form))
             continue
-        # at least v.bit_length() + 32 bits, rounded up to a power of two
-        # so that eps is refined O(log depth) times, not once per step
-        start = 1 << max(6, (v.bit_length() + 31).bit_length())
         try:
-            values.append(certified_floor(
-                eps, addend=v, max_bits=spec.max_bits, start_bits=start))
+            values.append(certified_floor(eps, addend=v, max_bits=spec.max_bits))
         except UndecidableError as exc:
             exc.step = n
             raise
@@ -161,21 +157,22 @@ class ClosedFormReport(NamedTuple):
     odd_ok: bool
     even_mismatches: tuple[tuple[int, int, int], ...]  # (k, expected, actual)
     odd_mismatches: tuple[tuple[int, int, int], ...]
-    printed_even_ok: bool | None = None  # row 5 only
+    printed_even_ok: bool | None = None  # the direct case only
     corrected_even_ok: bool | None = None
 
 
 def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
     """Check the even/odd closed forms against a generated trace.
 
-    Row 5 evaluates both the printed even form floor(t*2^{k-2})+2^{k-2} and
-    the shift-corrected floor(t*2^{k-1})+2^{k-1}, reporting each.
+    The direct case evaluates both the printed even form
+    floor(t*2^{k-2})+2^{k-2} and the shift-corrected floor(t*2^{k-1})+2^{k-1},
+    reporting each.
     """
     pair = entry(index)
     t = pair.target
     ks = sorted(k_range)
-    # row 5's forms shift by 2^(k-1), so they start at k = 1
-    k_min = 1 if index == 5 else t.l + 2
+    # the direct case's forms shift by 2^(k-1), so they start at k = 1
+    k_min = 1 if t.direct else t.l + 2
     if ks and ks[0] < k_min:
         raise ValueError(f"row {index} closed forms need k >= {k_min}")
     depth = 2 * ks[-1] + 2
@@ -188,7 +185,7 @@ def closed_form_check(index: int, epsilon, k_range) -> ClosedFormReport:
         if tr.v(2 * k + 1) != want:
             odd_bad.append((k, want, tr.v(2 * k + 1)))
 
-    if index != 5:
+    if not t.direct:
         even_bad = []
         for k in ks:
             want = fl(k - 2)

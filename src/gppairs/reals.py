@@ -490,15 +490,15 @@ def certified_floor(
     x: RefinableReal,
     addend: int = 0,
     max_bits: int = 4096,
-    start_bits: int = 64,
 ) -> int:
     """floor(sqrt2 * (addend + x)), certified.
 
-    Doubles the working precision from `start_bits` until both endpoints of
-    the enclosure share the same integer part; raises UndecidableError at
-    `max_bits`, which no attempt exceeds.
+    Starts at addend.bit_length() + 32 bits, at least 64 and rounded up to a
+    power of two (so a trace refines x O(log depth) times), and doubles until
+    both endpoints of the enclosure share the same integer part; raises
+    UndecidableError at `max_bits`, which no attempt exceeds.
     """
-    bits = min(start_bits, max_bits)
+    bits = min(1 << max(6, (addend.bit_length() + 31).bit_length()), max_bits)
     while True:
         # one product: sqrt2*(v + eps) is sqrt2*v + sqrt2*eps when v, eps >= 0
         # and lies inside it otherwise (subdistributivity, Moore 1966)

@@ -38,10 +38,18 @@ class AlgebraicTarget(NamedTuple):
         s = 1 << self.l
         return QSqrt2(Fraction(-self.beta, s), Fraction(self.alpha, s))
 
+    @property
+    def direct(self) -> bool:
+        """The direct case t = sqrt2, whose row gives the digits of sqrt2."""
+        return self == SQRT2_TARGET
+
     def structure_ok(self) -> bool:
         """alpha odd and alpha + beta = 2^(l+1); holds for every table row
-        except the direct case t = sqrt2."""
+        except the direct case."""
         return self.alpha % 2 == 1 and self.alpha + self.beta == 1 << (self.l + 1)
+
+
+SQRT2_TARGET = AlgebraicTarget(1, 0, 0)
 
 
 class GPPairEntry(NamedTuple):
@@ -58,8 +66,9 @@ class GPPairEntry(NamedTuple):
 
     @property
     def certification_depth(self) -> int:
-        """Trace depth 2*(l+2) at which Eq.-style base cases are checked."""
-        return 2 * (self.target.l + 2)
+        """Trace depth 2*(l+2) at which Eq.-style base cases are checked; for
+        the direct case 62, where its right end (row 6's left end) is a jump."""
+        return 62 if self.target.direct else 2 * (self.target.l + 2)
 
 
 THEOREM_TABLE: tuple[GPPairEntry, ...] = (
@@ -67,8 +76,7 @@ THEOREM_TABLE: tuple[GPPairEntry, ...] = (
     GPPairEntry(2, halfint(2, 1), halfint(19, 13), AlgebraicTarget(11, 5, 3)),
     GPPairEntry(3, halfint(19, 13), halfint(77, 54), AlgebraicTarget(45, 19, 5)),
     GPPairEntry(4, halfint(77, 54), halfint(309, 218), AlgebraicTarget(181, 75, 7)),
-    GPPairEntry(5, halfint(309, 218), halfint(1296121037, 916495974),
-                AlgebraicTarget(1, 0, 0)),  # direct case: t = sqrt2
+    GPPairEntry(5, halfint(309, 218), halfint(1296121037, 916495974), SQRT2_TARGET),
     GPPairEntry(6, halfint(1296121037, 916495974), halfint(79109, 55938),
                 AlgebraicTarget(759250125, 314491699, 29)),
     GPPairEntry(7, halfint(79109, 55938), halfint(5, 3),

@@ -437,6 +437,12 @@ class TestEndpoints:
         assert rep.ok
         assert any("direct case" in w for _, _, w in rep.checks)
 
+    def test_direct_case_named_by_target(self):
+        rep = verify_endpoint(entry(5)._replace(index=9), "left")
+        assert rep.ok
+        assert rep.pair_index == 9
+        assert any("direct case" in w for _, _, w in rep.checks)
+
     def test_bad_side(self):
         with pytest.raises(ValueError):
             verify_endpoint(entry(2), "middle")

@@ -235,6 +235,15 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify_pair(entry(5))
 
+    def test_direct_case_rejected_by_target(self):
+        with pytest.raises(ValueError, match="row 9 is the direct case"):
+            certify_pair(entry(5)._replace(index=9))
+
+    def test_direct_case_certification_depth(self):
+        # the direct case's right end is row 6's left end, a jump of v_62
+        assert entry(5).certification_depth == entry(6).certification_depth == 62
+        assert [e.index for e in THEOREM_TABLE if e.target.direct] == [5]
+
     def test_row6_erratum_note(self):
         cert = certify_pair(entry(6))
         assert cert.comp_target == 2592242074

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gppairs import reals
 from gppairs.engine import SequenceSpec, generate
 from gppairs.exact import QSqrt2, floor_q
 from gppairs.reals import (
@@ -308,6 +309,22 @@ class TestCertifiedFloor:
 
     def test_half_offset(self):
         assert certified_floor(RefinableReal("1/2"), addend=1) == 2
+
+    @pytest.mark.parametrize("addend, first_bits", [(0, 64), (2**200, 256)],
+                             ids=["addend-0", "addend-2^200"])
+    def test_start_precision_from_addend(self, monkeypatch, addend, first_bits):
+        # addend.bit_length() + 32 bits, at least 64, rounded up to a power of
+        # two: a 201-bit addend decides on its first attempt
+        bits = []
+
+        def counting_sqrt2(b):
+            bits.append(b)
+            return const_sqrt2(b)
+
+        monkeypatch.setattr(reals, "const_sqrt2", counting_sqrt2)
+        want = floor_q(QSqrt2.of(0, addend + Fraction(1, 3)))
+        assert certified_floor(RefinableReal("1/3"), addend=addend) == want
+        assert bits == [first_bits]
 
     def test_undecidable_at_budget(self):
         # sqrt2*(sqrt2/2) = 1 exactly: no finite precision can decide the floor
