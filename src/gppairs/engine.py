@@ -1,9 +1,14 @@
 """Sequence generation, digit extraction, digit verification of a row at
-one epsilon, closed-form checks, counterexample scanning, normality probes,
+one epsilon, closed-form checks, counterexample search, normality probes,
 and the corollary check (row certification is in discovery.py, by sweep).
 
 The step rule throughout: v_{n+1} = floor(sqrt2*(v_n + eps)) for odd n,
 floor(sqrt2*(v_n + 1/2)) for even n.
+
+The counterexample search has two paths, chosen by the offset.  An exact eps
+in [0, 1) outside the domain [1 - sqrt2/2, sqrt2/2) is answered in closed
+form, from the binary digits of sqrt2 or 3*sqrt2 read off an isqrt, with
+no trace; every other exact eps streams the trace.
 """
 
 from __future__ import annotations
@@ -268,13 +273,86 @@ def lemma_checks(sample_count: int, seed: int = 0) -> LemmaReport:
     return LemmaReport(sample_count, tuple(violations), branch_ok, cond_ok)
 
 
+def _record_scan(m: int, c: QSqrt2, above: bool, last: int) -> int | None:
+    """The least j in 0..last with x_j > c (above) or x_j <= c (not above),
+    where x_j = {m*sqrt2*2^j} and 0 <= c < 1; None if there is none.
+
+    One isqrt gives S = floor(m*sqrt2*2^top), and then floor(x_j*2^64) is
+    the 64-bit window (S >> (top - j - 64)) & (2^64 - 1) for j <= top - 64.
+    A window above or below floor(c*2^64) decides the comparison; an equal
+    one is decided exactly, with x_j = m*sqrt2*2^j - (S >> (top - j)).
+    top doubles until it reaches last + 64, so an early hit costs the bits
+    up to it, not an isqrt as long as the limit.
+    """
+    cut = floor_q(c * (1 << 64))
+    mask = (1 << 64) - 1
+    start, top = 0, 64
+    while start <= last:
+        top = min(2 * top, last + 64)
+        s = floor_rat_sqrt2(m << top, 1)
+        for j in range(start, top - 63):
+            window = (s >> (top - j - 64)) & mask
+            if window == cut:
+                x = QSqrt2(-(s >> (top - j)), m << j)
+                if (x > c) if above else (x <= c):
+                    return j
+            elif (window > cut) == above:
+                return j
+        start = top - 63
+    return None
+
+
 def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
-    """First n <= limit with d_n outside {0,1}, streaming the trace."""
+    """First n <= limit with d_n outside {0,1}, as (n, d_n), or None.
+
+    Two paths, chosen by eps.  An exact eps in [0, 1) outside the domain
+    [1 - sqrt2/2, sqrt2/2) is answered in closed form, with no trace; every
+    other exact eps streams the trace.  With x_j = {m*sqrt2*2^j}:
+    - below the domain, 0 <= eps < 1 - sqrt2/2: m = 1, and the answer is
+      (j + 2, -1) for the least j >= 0 with x_j > (2 + sqrt2)*eps;
+    - above it, sqrt2/2 <= eps < 1: m = 3, and the answer is (j + 3, 2) for
+      the least j >= 0 with x_j <= (sqrt2*eps - 1)/(sqrt2 - 1).
+
+    Proof.  Below the domain the trace follows row 1, t = sqrt2 - 1, and
+    above it row 8, t = (3*sqrt2 - 1)/2.  For such a row (alpha, beta, l)
+    with gamma = 2*alpha + beta, let y = t*2^(k-1), f_k = {y}, and
+        O_k = floor(y) + 2^k,   E_(k+1) = floor(y) + gamma*2^(k-l-1),
+    the odd and even closed forms.  Since (sqrt2 - 1)*y =
+    gamma*2^(k-l-1) - sqrt2*2^k (alpha + beta = 2^(l+1)), expanding
+    floor(y) = y - f_k gives
+        sqrt2*(O_k + eps) - E_(k+1) = (1 - sqrt2)*f_k + sqrt2*eps =: c_k,
+        sqrt2*(E_(k+1) + 1/2) - O_(k+1) = {2y} - sqrt2*f_k + sqrt2/2 =: g_k,
+    and g_k is in [0, 1) by the universal lemma.  So if v_(2k+1) = O_k and
+    the (conditio) value c_k is in [0, 1), then v_(2k+2) = E_(k+1),
+    v_(2k+3) = O_(k+1), and d_(k+1) = O_(k+1) - 2*O_k = floor(2*f_k) is a
+    binary digit.  Base: for every eps in [0, sqrt2 - 1), v_1..v_3 are
+    1, 1, 2, so v_3 = O_1 of row 1 and d_1 = 0; for every eps in
+    [sqrt2/2, 1), v_1..v_5 are 1, 2, 3, 5, 7, so v_5 = O_2 of row 8 and
+    d_1 = d_2 = 1.
+    As f_k runs over [0, 1), c_k stays in (1 - sqrt2 + sqrt2*eps, sqrt2*eps].
+    Below the domain that is inside (-1, 1), so c_k fails only as c_k < 0,
+    i.e. f_k > (2 + sqrt2)*eps, and then v_(2k+2) = E_(k+1) - 1.  Above it
+    that is inside (0, 2), so c_k fails only as c_k >= 1 (a value of
+    exactly 1 fails), i.e. f_k <= (sqrt2*eps - 1)/(sqrt2 - 1), and then
+    v_(2k+2) = E_(k+1) + 1.  So v_(2k+3) is O_(k+1) + floor(g_k - sqrt2)
+    below and O_(k+1) + floor(g_k + sqrt2) above.  Now g_k is
+    (2 - sqrt2)*f_k + sqrt2/2, in [sqrt2/2, 1), where f_k < 1/2, and that
+    minus 1, in [0, 1 - sqrt2/2), where f_k >= 1/2.  So the floor is -1 or
+    -2 below, and 2 or 1 above, and d_(k+1) is -1 below and 2 above whether
+    floor(2*f_k) is 0 or 1.  Below, f_k = x_(k-1) and n = k + 1 = j + 2;
+    above, f_k = x_(k-2) and n = j + 3.  A first n past limit gives None.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     eps = _as_eps(epsilon)
     if not isinstance(eps, QSqrt2):
         raise TypeError("first_bad_digit requires an exact epsilon")
+    if eps.sign() >= 0 and eps < DOMAIN_LO:
+        j = _record_scan(1, (2 + SQRT2) * eps, True, limit - 2)
+        return None if j is None else (j + 2, -1)
+    if eps >= DOMAIN_HI and eps < 1:
+        j = _record_scan(3, (SQRT2 * eps - 1) / (SQRT2 - 1), False, limit - 3)
+        return None if j is None else (j + 3, 2)
     form = integer_form(eps)
     v = 1
     prev_odd = 1

@@ -1,5 +1,6 @@
 """Recurrence traces, digit extraction, verification, certification."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from gppairs.exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from gppairs import discovery, engine, reals
 from gppairs.discovery import certify_pair, sweep
 from gppairs.reals import RefinableReal, UndecidableError
-from gppairs.table import THEOREM_TABLE, entry
+from gppairs.table import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, entry, halfint
 
 eps_values = st.fractions(min_value=Fraction(2929, 10000),
                           max_value=Fraction(7071, 10000),
@@ -308,9 +309,99 @@ class TestLemmas:
         assert rep.violations == ()
 
 
+def isqrt_first_bad_digit(eps: QSqrt2, limit: int) -> tuple[int, int] | None:
+    """The streamed reference: the trace step by step, each floor from
+    math.isqrt, for eps = a + b*sqrt2."""
+    a, b = eps.a, eps.b
+    q = math.lcm(a.denominator, b.denominator)
+    p, r2 = int(a * q), int(2 * b * q)
+
+    def floor_sqrt2(x: int) -> int:  # floor(x*sqrt2)
+        s = math.isqrt(2 * x * x)
+        return s if x >= 0 else -s - 1
+
+    odd = 1
+    for n in range(1, limit + 1):
+        # sqrt2*(v + eps) = ((q*v + p)*sqrt2 + 2*b*q)/q, and 2*b*q is an integer
+        even = (floor_sqrt2(q * odd + p) + r2) // q
+        nxt = floor_sqrt2(2 * even + 1) // 2
+        if nxt - 2 * odd not in (0, 1):
+            return (n, nxt - 2 * odd)
+        odd = nxt
+    return None
+
+
+def _outside_domain(eps: QSqrt2) -> bool:
+    return eps.sign() >= 0 and eps < 1 and (eps < DOMAIN_LO or eps >= DOMAIN_HI)
+
+
+# offsets in [0, 1) outside [1 - sqrt2/2, sqrt2/2): the closed-form path
+offsets_outside_domain = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**12).map(QSqrt2.of),
+    st.integers(-10**9, 10**9).map(lambda c: halfint(c, floor_q(halfint(c, 0)))),
+    st.builds(lambda a, b: frac_q(QSqrt2(a, b)),
+              st.fractions(-100, 100, max_denominator=1000),
+              st.fractions(-100, 100, max_denominator=1000)),
+).filter(_outside_domain) | st.integers(2, 80).flatmap(
+    lambda s: st.sampled_from((DOMAIN_LO - Fraction(1, 1 << s),
+                               DOMAIN_HI + Fraction(1, 1 << s)))
+) | st.sampled_from((QSqrt2.of(0), DOMAIN_HI))
+
+
 class TestCounterexamples:
     def test_limit_none(self):
         assert first_bad_digit(Fraction(1, 2), 200) is None
+
+    @given(offsets_outside_domain, st.integers(1, 400))
+    @settings(max_examples=250, deadline=None)
+    @example(QSqrt2.of(0), 2)
+    @example(QSqrt2.of(0), 1)
+    @example(DOMAIN_HI, 400)
+    @example(QSqrt2.of(Fraction(3, 4)), 10)
+    @example(QSqrt2.of(Fraction(3, 4)), 9)
+    def test_closed_form_matches_isqrt_stream(self, eps, limit):
+        assert first_bad_digit(eps, limit) == isqrt_first_bad_digit(eps, limit)
+
+    def test_high_side_exact_ties(self):
+        # (conditio) is exactly 1 at step k, which is already a failure
+        seen = {}
+        for k in range(2, 41):
+            m = math.isqrt(18 << (2 * k - 4))  # floor(3*sqrt2*2^(k-2))
+            eps = QSqrt2(-m - 3 * (1 << (k - 2)),
+                         Fraction(1 + m + 3 * (1 << (k - 1)), 2))
+            if not (DOMAIN_HI <= eps < 1):
+                continue
+            for limit in (k, k + 1, k + 30):
+                got = first_bad_digit(eps, limit)
+                assert got == isqrt_first_bad_digit(eps, limit), (k, limit)
+                seen[k, limit] = got
+        assert seen[2, 3] == (3, 2)  # eps = 0.778174...
+        assert seen[9, 10] == (10, 2)
+
+    def test_low_side_exact_ties(self):
+        # (conditio) is exactly 0 at step k, which is not a failure
+        for k in range(1, 41):
+            frac = QSqrt2(-math.isqrt(2 << (2 * k - 2)), 1 << (k - 1))
+            eps = (1 - QSqrt2.sqrt2() / 2) * frac
+            for limit in (k, k + 1, k + 30):
+                assert first_bad_digit(eps, limit) == \
+                    isqrt_first_bad_digit(eps, limit), (k, limit)
+
+    def test_deep_closed_form(self):
+        # the high records of {sqrt2*2^j} below 10^5 are 0, 1, 15, 29, 334,
+        # 1401 and 3065, and not even the last exceeds (2 + sqrt2)*0.29289
+        assert first_bad_digit(Fraction(29289, 10**5), 10**5) is None
+
+    @pytest.mark.parametrize("eps, limit, want", [
+        (Fraction(2928, 10000), 3066, None),
+        (Fraction(2928, 10000), 3067, (3067, -1)),
+        (Fraction(7073, 10000), 2292, None),
+        (Fraction(7073, 10000), 2293, (2293, 2)),
+        # an early hit reads the bits up to it, not an isqrt 10^7 digits long
+        (Fraction(29, 100), 10**7, (31, -1)),
+    ])
+    def test_limit_boundaries(self, eps, limit, want):
+        assert first_bad_digit(eps, limit) == want
 
     def test_requires_exact(self):
         with pytest.raises(TypeError):
