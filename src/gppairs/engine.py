@@ -5,10 +5,11 @@ and the corollary check (row certification is in discovery.py, by sweep).
 The step rule throughout: v_{n+1} = floor(sqrt2*(v_n + eps)) for odd n,
 floor(sqrt2*(v_n + 1/2)) for even n.
 
-The counterexample search has two paths, chosen by the offset.  An exact eps
-in [0, 1) outside the domain [1 - sqrt2/2, sqrt2/2) is answered in closed
+The counterexample search has three paths, chosen by the offset.  An exact
+eps in [0, 1) outside the domain [1 - sqrt2/2, sqrt2/2) is answered in closed
 form, from the binary digits of sqrt2 or 3*sqrt2 read off an isqrt, with
-no trace; every other exact eps streams the trace.
+no trace; one in the domain is answered by proof, with at most five exact
+steps; one outside [0, 1) streams the trace.
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ from typing import NamedTuple
 
 from .exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from .reals import RefinableReal, UndecidableError, certified_floor
-from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, entry
+from .table import (DOMAIN_HI, DOMAIN_LO, INNER_HI, INNER_LO, AlgebraicTarget, GPPairEntry,
+                    entry)
 
 HALF = Fraction(1, 2)
 SQRT2 = QSqrt2.sqrt2()
 # verify's xi2-delta sample point, and how far a row's certifying sweep
 # reaches past its endpoints; no certificate verdict depends on its size
 DELTA = Fraction(1, 1 << 60)
+# the j per block of _record_scan: a block costs one shift of the whole
+# floor(m*sqrt2*2^top), and each of its windows a shift of the block
+_SCAN_BLOCK = 4096
 
 
 def _as_eps(eps) -> QSqrt2 | RefinableReal:
@@ -282,7 +287,9 @@ def _record_scan(m: int, c: QSqrt2, above: bool, last: int) -> int | None:
     A window above or below floor(c*2^64) decides the comparison; an equal
     one is decided exactly, with x_j = m*sqrt2*2^j - (S >> (top - j)).
     top doubles until it reaches last + 64, so an early hit costs the bits
-    up to it, not an isqrt as long as the limit.
+    up to it, not an isqrt as long as the limit.  The windows of _SCAN_BLOCK
+    consecutive j are read from one block of _SCAN_BLOCK + 63 bits cut out
+    of S, so S is shifted once per block rather than once per j.
     """
     cut = floor_q(c * (1 << 64))
     mask = (1 << 64) - 1
@@ -290,14 +297,19 @@ def _record_scan(m: int, c: QSqrt2, above: bool, last: int) -> int | None:
     while start <= last:
         top = min(2 * top, last + 64)
         s = floor_rat_sqrt2(m << top, 1)
-        for j in range(start, top - 63):
-            window = (s >> (top - j - 64)) & mask
-            if window == cut:
-                x = QSqrt2(-(s >> (top - j)), m << j)
-                if (x > c) if above else (x <= c):
+        for j0 in range(start, top - 63, _SCAN_BLOCK):
+            j1 = min(j0 + _SCAN_BLOCK, top - 63)
+            # bits top - j1 - 63 .. top - j0 - 1 of S: window j is
+            # (block >> (j1 - 1 - j)) & mask
+            block = (s >> (top - j1 - 63)) & ((1 << (j1 - j0 + 63)) - 1)
+            for j in range(j0, j1):
+                window = (block >> (j1 - 1 - j)) & mask
+                if window == cut:
+                    x = QSqrt2(-(s >> (top - j)), m << j)
+                    if (x > c) if above else (x <= c):
+                        return j
+                elif (window > cut) == above:
                     return j
-            elif (window > cut) == above:
-                return j
         start = top - 63
     return None
 
@@ -305,17 +317,20 @@ def _record_scan(m: int, c: QSqrt2, above: bool, last: int) -> int | None:
 def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
     """First n <= limit with d_n outside {0,1}, as (n, d_n), or None.
 
-    Two paths, chosen by eps.  An exact eps in [0, 1) outside the domain
-    [1 - sqrt2/2, sqrt2/2) is answered in closed form, with no trace; every
-    other exact eps streams the trace.  With x_j = {m*sqrt2*2^j}:
+    Three paths, chosen by eps.  An exact eps in [0, 1) outside the domain
+    [1 - sqrt2/2, sqrt2/2) is answered in closed form, with no trace; one in
+    the domain gives None, with no step in the inner band [sqrt2/4,
+    1 - sqrt2/4) (Lemma A) and at most five, up to v_6, elsewhere (Lemma B);
+    every other exact eps streams the trace.  With x_j = {m*sqrt2*2^j}:
     - below the domain, 0 <= eps < 1 - sqrt2/2: m = 1, and the answer is
       (j + 2, -1) for the least j >= 0 with x_j > (2 + sqrt2)*eps;
     - above it, sqrt2/2 <= eps < 1: m = 3, and the answer is (j + 3, 2) for
       the least j >= 0 with x_j <= (sqrt2*eps - 1)/(sqrt2 - 1).
 
-    Proof.  Below the domain the trace follows row 1, t = sqrt2 - 1, and
-    above it row 8, t = (3*sqrt2 - 1)/2.  For such a row (alpha, beta, l)
-    with gamma = 2*alpha + beta, let y = t*2^(k-1), f_k = {y}, and
+    Proof of the closed form.  Below the domain the trace follows row 1,
+    t = sqrt2 - 1, and above it row 8, t = (3*sqrt2 - 1)/2.  For such a row
+    (alpha, beta, l) with gamma = 2*alpha + beta, let y = t*2^(k-1),
+    f_k = {y}, and
         O_k = floor(y) + 2^k,   E_(k+1) = floor(y) + gamma*2^(k-l-1),
     the odd and even closed forms.  Since (sqrt2 - 1)*y =
     gamma*2^(k-l-1) - sqrt2*2^k (alpha + beta = 2^(l+1)), expanding
@@ -341,18 +356,49 @@ def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
     -2 below, and 2 or 1 above, and d_(k+1) is -1 below and 2 above whether
     floor(2*f_k) is 0 or 1.  Below, f_k = x_(k-1) and n = k + 1 = j + 2;
     above, f_k = x_(k-2) and n = j + 3.  A first n past limit gives None.
+
+    Lemma A (the inner band).  For odd n let f_n = sqrt2*(v_n + eps) -
+    v_(n+1), in [0, 1).  Then sqrt2*(v_(n+1) + 1/2) = 2*v_n + 2*eps +
+    sqrt2/2 - sqrt2*f_n, so the digit v_(n+2) - 2*v_n is
+    floor(2*eps + sqrt2/2 - sqrt2*f_n), and its argument lies in
+    (2*eps - sqrt2/2, 2*eps + sqrt2/2].  For sqrt2/4 <= eps < 1 - sqrt2/4
+    that is inside [0, 2), so every digit is 0 or 1.
+
+    Lemma B (an invariant).  Let u = v_(2k+1), w = v_(2k+2) and
+    phi_k = (1 + sqrt2)*(w - sqrt2*u); let eps be in the domain and
+    0 <= phi_k < 1.  As (2 - sqrt2)*(1 + sqrt2) = sqrt2,
+    sqrt2*w = 2u + (2 - sqrt2)*phi_k, and (2 - sqrt2)*phi_k + sqrt2/2 lies
+    in [sqrt2/2, 1) for phi_k < 1/2 and in [1, 2 - sqrt2/2) otherwise.  So
+    v_(2k+3) = 2u + floor(2*phi_k), and d_(k+1) = floor(2*phi_k) is 0 or 1.
+    With psi = {2*phi_k}, and as (1 - sqrt2)*phi_k = sqrt2*u - w,
+        sqrt2*(v_(2k+3) + eps) = 2w + floor(2*phi_k) + c,
+    where c = (1 - sqrt2)*psi + sqrt2*eps is the (conditio) value.  In the
+    domain c lies in (1 - sqrt2 + sqrt2*eps, sqrt2*eps], inside [0, 1), so
+    v_(2k+4) = 2w + floor(2*phi_k) and phi_(k+1) = psi.  By induction every
+    later digit is binary: d_(k+1), d_(k+2), ... are the binary digits of
+    phi_k.  As u, w > 0, sqrt2 is irrational and 1/(1 + sqrt2) =
+    sqrt2 - 1, the test 0 <= phi_k < 1 reads w*w > 2*u*u and
+    (w + 1)**2 < 2*(u + 1)**2; it runs after each even step 2k + 2, when
+    d_1..d_k have been checked.  It holds by step 6: on [1 - sqrt2/2,
+    sqrt2/4), v_1..v_4 are 1, 1, 2, 3 and phi_1 = sqrt2 - 1, and on
+    [1 - sqrt2/4, sqrt2/2), v_1..v_6 are 1, 2, 3, 5, 7, 10 and
+    phi_2 = 3*sqrt2 - 4.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     eps = _as_eps(epsilon)
     if not isinstance(eps, QSqrt2):
         raise TypeError("first_bad_digit requires an exact epsilon")
-    if eps.sign() >= 0 and eps < DOMAIN_LO:
+    unit = eps.sign() >= 0 and eps < 1
+    if unit and eps < DOMAIN_LO:
         j = _record_scan(1, (2 + SQRT2) * eps, True, limit - 2)
         return None if j is None else (j + 2, -1)
-    if eps >= DOMAIN_HI and eps < 1:
+    if unit and eps >= DOMAIN_HI:
         j = _record_scan(3, (SQRT2 * eps - 1) / (SQRT2 - 1), False, limit - 3)
         return None if j is None else (j + 3, 2)
+    # from here on, unit means eps is in the domain
+    if unit and INNER_LO <= eps < INNER_HI:
+        return None
     form = integer_form(eps)
     v = 1
     prev_odd = 1
@@ -368,6 +414,9 @@ def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
             if m >= limit:
                 return None
             prev_odd = v
+        elif unit and v * v > 2 * prev_odd * prev_odd \
+                and (v + 1) ** 2 < 2 * (prev_odd + 1) ** 2:
+            return None
 
 
 # alpha and beta of row 6's target, the corollary's multiplier and shift

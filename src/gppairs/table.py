@@ -21,6 +21,10 @@ def halfint(c: int, d: int) -> QSqrt2:
 # epsilon constraint
 DOMAIN_LO = halfint(-1, -1)
 DOMAIN_HI = halfint(1, 0)
+# its inner band [sqrt2/4, 1 - sqrt2/4), where every digit is binary
+# whatever the trace (engine.first_bad_digit, Lemma A)
+INNER_LO = QSqrt2(0, Fraction(1, 4))
+INNER_HI = QSqrt2(1, Fraction(-1, 4))
 
 
 class AlgebraicTarget(NamedTuple):

@@ -27,7 +27,8 @@ from gppairs.exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from gppairs import discovery, engine, reals
 from gppairs.discovery import certify_pair, sweep
 from gppairs.reals import RefinableReal, UndecidableError
-from gppairs.table import DOMAIN_HI, DOMAIN_LO, THEOREM_TABLE, entry, halfint
+from gppairs.table import (DOMAIN_HI, DOMAIN_LO, INNER_HI, INNER_LO, THEOREM_TABLE, entry,
+                           halfint)
 
 eps_values = st.fractions(min_value=Fraction(2929, 10000),
                           max_value=Fraction(7071, 10000),
@@ -308,6 +309,29 @@ class TestLemmas:
         assert rep.ok
         assert rep.violations == ()
 
+    @pytest.mark.parametrize("index", [1, 2, 3, 4, 6, 7, 8])
+    def test_invariant_from_certification_depth(self, index):
+        # first_bad_digit's Lemma B: phi_k = (1 + sqrt2)*(v_(2k+2) - sqrt2*v_(2k+1))
+        # enters [0, 1) at the row's certification depth, equals
+        # {t*2^(k-1)} there, and its binary digits are the trace's from d_(k+1)
+        row = entry(index)
+        t, l = row.target.value(), row.target.l
+        s2 = QSqrt2.sqrt2()
+        for eps in (row.xi1, row.midpoint, row.xi2 - DELTA):
+            trace = generate(SequenceSpec(eps, depth=2 * l + 605))
+            v = trace.values
+
+            def phi(k):
+                return (1 + s2) * (v[2 * k + 1] - s2 * v[2 * k])
+
+            first = next(2 * k + 2 for k in range(l + 3) if 0 <= phi(k) < 1)
+            assert first == row.certification_depth, (index, eps)
+            p = phi(l + 2)
+            assert p == frac_q(t * 2 ** (l + 1)), (index, eps)
+            bits = floor_q(p * 2 ** 300)
+            want = tuple((bits >> (300 - i)) & 1 for i in range(1, 301))
+            assert digits_from_trace(trace).digits[l + 2:l + 302] == want, (index, eps)
+
 
 def isqrt_first_bad_digit(eps: QSqrt2, limit: int) -> tuple[int, int] | None:
     """The streamed reference: the trace step by step, each floor from
@@ -348,9 +372,64 @@ offsets_outside_domain = st.one_of(
 ) | st.sampled_from((QSqrt2.of(0), DOMAIN_HI))
 
 
+def _in_domain(eps: QSqrt2) -> bool:
+    return DOMAIN_LO <= eps < DOMAIN_HI
+
+
+# offsets in the domain, and the edges of Lemma A's inner band
+offsets_in_domain = st.one_of(
+    st.fractions(min_value=Fraction(29, 100), max_value=Fraction(71, 100),
+                 max_denominator=10**12).map(QSqrt2.of),
+    st.integers(-10**9, 10**9).map(lambda c: halfint(c, floor_q(halfint(c, 0)))),
+).filter(_in_domain) | st.integers(5, 200).flatmap(
+    lambda s: st.sampled_from((INNER_LO - Fraction(1, 1 << s),
+                               INNER_HI - Fraction(1, 1 << s),
+                               INNER_HI + Fraction(1, 1 << s),
+                               DOMAIN_HI - Fraction(1, 1 << s)))
+) | st.sampled_from((INNER_LO, INNER_HI, DOMAIN_LO))
+
+
 class TestCounterexamples:
     def test_limit_none(self):
         assert first_bad_digit(Fraction(1, 2), 200) is None
+
+    @given(offsets_in_domain, st.integers(1, 400))
+    @settings(max_examples=150, deadline=None)
+    @example(INNER_LO, 400)
+    @example(INNER_HI, 400)
+    @example(DOMAIN_LO, 400)
+    @example(DOMAIN_HI - DELTA, 1)
+    def test_domain_matches_isqrt_stream(self, eps, limit):
+        assert first_bad_digit(eps, limit) == isqrt_first_bad_digit(eps, limit)
+
+    @given(st.fractions(-3, 4, max_denominator=1000).filter(lambda x: not 0 <= x < 1),
+           st.integers(1, 200))
+    @settings(max_examples=60, deadline=None)
+    @example(Fraction(-3), 200)
+    @example(Fraction(5, 4), 200)
+    def test_outside_unit_interval_matches_isqrt_stream(self, eps, limit):
+        # no lemma holds here: the invariant of the domain can hold at an even
+        # step and still be broken later
+        eps = QSqrt2.of(eps)
+        assert first_bad_digit(eps, limit) == isqrt_first_bad_digit(eps, limit)
+
+    def test_domain_takes_at_most_five_steps(self, monkeypatch):
+        # the stream would take 2*10^6 steps for each of these
+        calls = 0
+
+        def counted(v, n, form):
+            nonlocal calls
+            calls += 1
+            if calls > 100:
+                raise AssertionError("first_bad_digit streams the trace in the domain")
+            return exact_step(v, n, form)
+
+        monkeypatch.setattr(engine, "exact_step", counted)
+        for eps in (Fraction(1, 2), Fraction(2930, 10000), Fraction(7070, 10000),
+                    DOMAIN_LO, DOMAIN_HI - DELTA):
+            calls = 0
+            assert first_bad_digit(eps, 10**6) is None
+            assert calls <= 5, eps
 
     @given(offsets_outside_domain, st.integers(1, 400))
     @settings(max_examples=250, deadline=None)
@@ -386,6 +465,24 @@ class TestCounterexamples:
             for limit in (k, k + 1, k + 30):
                 assert first_bad_digit(eps, limit) == \
                     isqrt_first_bad_digit(eps, limit), (k, limit)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_record_scan_block_size(self, block, monkeypatch):
+        # the scan reads its windows from blocks; where they are cut must not
+        # change an answer, ties included
+        cases = [(QSqrt2.of(Fraction(2928, 10000)), 4000),
+                 (QSqrt2.of(Fraction(7073, 10000)), 4000),
+                 (QSqrt2.of(Fraction(29289, 10**5)), 5000)]
+        for k in range(2, 41):
+            m = math.isqrt(18 << (2 * k - 4))
+            cases.append((QSqrt2(-m - 3 * (1 << (k - 2)),
+                                 Fraction(1 + m + 3 * (1 << (k - 1)), 2)), k + 30))
+            frac = QSqrt2(-math.isqrt(2 << (2 * k - 2)), 1 << (k - 1))
+            cases.append(((1 - QSqrt2.sqrt2() / 2) * frac, k + 30))
+        want = [first_bad_digit(eps, limit) for eps, limit in cases]
+        monkeypatch.setattr(engine, "_SCAN_BLOCK", block)
+        assert [first_bad_digit(eps, limit) for eps, limit in cases] == want
+        assert want[:3] == [(3067, -1), (2293, 2), None]
 
     def test_deep_closed_form(self):
         # the high records of {sqrt2*2^j} below 10^5 are 0, 1, 15, 29, 334,
