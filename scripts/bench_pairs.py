@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -55,16 +56,52 @@ def export(rev: str, dest: str) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
+def kill_run(pid: int) -> None:
+    """Kill bench/run.py (`pid`, a process group leader), its group, and the
+    group of each of its descendants: run.py starts each worker.py in a
+    session of its own.  The group is stopped first, so that it starts
+    nothing while /proc is read for the tree."""
+    try:
+        os.killpg(pid, signal.SIGSTOP)
+    except ProcessLookupError:  # run.py is gone, and so are its workers
+        return
+    parent_of = {}
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as fh:
+                # after the command's closing ")" come the state and the ppid
+                parent_of[int(entry)] = int(fh.read().rpartition(")")[2].split()[1])
+        except (OSError, ValueError):  # not a process, or gone
+            pass
+    tree = [pid]
+    for parent in tree:  # grows as it is read: breadth first
+        tree += [child for child, pp in parent_of.items() if pp == parent]
+    for member in tree:
+        try:
+            os.killpg(os.getpgid(member), signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+
+
 def bench(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """One bench/run.py run: its context line and its last (result) line."""
-    done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"bench/run.py in {checkout} exited {done.returncode}:\n"
-                         f"{done.stderr[-2000:]}")
-    lines = done.stdout.splitlines()
+    """One bench/run.py run: its context line and its last (result) line.
+
+    run.py runs in a process group of its own, and kill_run ends it and its
+    workers if the wait is cut short (SIGTERM, Ctrl-C)."""
+    with subprocess.Popen(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate()
+        except BaseException:
+            kill_run(proc.pid)
+            raise
+    if proc.returncode != 0:
+        raise SystemExit(f"bench/run.py in {checkout} exited {proc.returncode}:\n"
+                         f"{err[-2000:]}")
+    lines = out.splitlines()
     context = next(json.loads(l.split(" ", 1)[1]) for l in lines if l.startswith("context "))
     return {"context": context, "result": json.loads(lines[-1])}
 
@@ -107,6 +144,9 @@ def main(argv=None) -> int:
     p.add_argument("--trace-seed", type=int, help="also one traced run per side and workload")
     p.add_argument("--note", default="", help="what the change is, for the file's reader")
     args = p.parse_args(argv)
+    # SIGTERM unwinds like an exit, so the exported tree is removed and the
+    # running bench/run.py is killed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     plan = []
     for spec in args.workload:

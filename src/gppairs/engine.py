@@ -5,11 +5,11 @@ and the corollary check (row certification is in discovery.py, by sweep).
 The step rule throughout: v_{n+1} = floor(sqrt2*(v_n + eps)) for odd n,
 floor(sqrt2*(v_n + 1/2)) for even n.
 
-The counterexample search has three paths, chosen by the offset.  An exact
-eps in [0, 1) outside the domain [1 - sqrt2/2, sqrt2/2) is answered in closed
-form, from the binary digits of sqrt2 or 3*sqrt2 read off an isqrt, with
-no trace; one in the domain is answered by proof, with at most five exact
-steps; one outside [0, 1) streams the trace.
+The counterexample search runs no trace loop.  An exact eps in [0, 1)
+outside the domain [1 - sqrt2/2, sqrt2/2) is answered in closed form, from
+the binary digits of sqrt2 or 3*sqrt2 read off an isqrt; one in the domain
+has no bad digit, by proof; one outside [0, 1) has a bad digit among
+d_1..d_3, by proof, read off a trace of at most seven values.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from typing import NamedTuple
 
 from .exact import QSqrt2, floor_q, floor_rat_sqrt2, frac_q, integer_form
 from .reals import RefinableReal, UndecidableError, certified_floor
-from .table import (DOMAIN_HI, DOMAIN_LO, INNER_HI, INNER_LO, AlgebraicTarget, GPPairEntry,
-                    entry)
+from .table import DOMAIN_HI, DOMAIN_LO, AlgebraicTarget, GPPairEntry, entry
 
 HALF = Fraction(1, 2)
 SQRT2 = QSqrt2.sqrt2()
@@ -317,11 +316,11 @@ def _record_scan(m: int, c: QSqrt2, above: bool, last: int) -> int | None:
 def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
     """First n <= limit with d_n outside {0,1}, as (n, d_n), or None.
 
-    Three paths, chosen by eps.  An exact eps in [0, 1) outside the domain
-    [1 - sqrt2/2, sqrt2/2) is answered in closed form, with no trace; one in
-    the domain gives None, with no step in the inner band [sqrt2/4,
-    1 - sqrt2/4) (Lemma A) and at most five, up to v_6, elsewhere (Lemma B);
-    every other exact eps streams the trace.  With x_j = {m*sqrt2*2^j}:
+    No answer runs a stepping loop.  An exact eps in [0, 1) outside the
+    domain [1 - sqrt2/2, sqrt2/2) is answered in closed form; one in the
+    domain has no bad digit (Lemmas A and B); one outside [0, 1) has its
+    first bad digit among d_1..d_3 (Lemma C), read off v_1..v_7.  With
+    x_j = {m*sqrt2*2^j}:
     - below the domain, 0 <= eps < 1 - sqrt2/2: m = 1, and the answer is
       (j + 2, -1) for the least j >= 0 with x_j > (2 + sqrt2)*eps;
     - above it, sqrt2/2 <= eps < 1: m = 3, and the answer is (j + 3, 2) for
@@ -376,47 +375,41 @@ def first_bad_digit(epsilon, limit: int) -> tuple[int, int] | None:
     domain c lies in (1 - sqrt2 + sqrt2*eps, sqrt2*eps], inside [0, 1), so
     v_(2k+4) = 2w + floor(2*phi_k) and phi_(k+1) = psi.  By induction every
     later digit is binary: d_(k+1), d_(k+2), ... are the binary digits of
-    phi_k.  As u, w > 0, sqrt2 is irrational and 1/(1 + sqrt2) =
-    sqrt2 - 1, the test 0 <= phi_k < 1 reads w*w > 2*u*u and
-    (w + 1)**2 < 2*(u + 1)**2; it runs after each even step 2k + 2, when
-    d_1..d_k have been checked.  It holds by step 6: on [1 - sqrt2/2,
-    sqrt2/4), v_1..v_4 are 1, 1, 2, 3 and phi_1 = sqrt2 - 1, and on
-    [1 - sqrt2/4, sqrt2/2), v_1..v_6 are 1, 2, 3, 5, 7, 10 and
-    phi_2 = 3*sqrt2 - 4.
+    phi_k.  Base, on the domain outside Lemma A's band: on [1 - sqrt2/2,
+    sqrt2/4), v_1..v_4 are 1, 1, 2, 3, so d_1 = 0 and phi_1 = sqrt2 - 1;
+    on [1 - sqrt2/4, sqrt2/2), v_1..v_6 are 1, 2, 3, 5, 7, 10, so
+    d_1 = d_2 = 1 and phi_2 = 3*sqrt2 - 4.  Both are in [0, 1).
+
+    Lemma C (outside [0, 1)).  Every real eps outside [0, 1) has a bad
+    digit among d_1..d_3.  Here v_2 = floor(sqrt2*(1 + eps)), and d_1 is
+    v_3 - 2 with v_3 = floor(sqrt2*(v_2 + 1/2)):
+    - eps < sqrt2/2 - 1: v_2 <= 0, as sqrt2*(1 + eps) < 1, so v_3 <= 0
+      and d_1 <= -2;
+    - sqrt2/2 - 1 <= eps < 0: v_1..v_5 are 1, 1, 2, 2, 3, so d_2 = -1;
+    - 1 <= eps < 3*sqrt2/2 - 1: v_1..v_7 are 1, 2, 3, 5, 7, 11, 16, so d_3 = 2;
+    - eps >= 3*sqrt2/2 - 1: v_2 >= 3, as sqrt2*(1 + eps) >= 3, so v_3 >= 4
+      and d_1 >= 2.
+    Each prefix stated on a band [lo, hi), here and in Lemma B, holds on
+    all of it: with v_n fixed, sqrt2*(v_n + eps) rises with eps, so
+    floor(sqrt2*(v_n + lo)) = v_(n+1) and sqrt2*(v_n + hi) <= v_(n+1) + 1
+    give v_(n+1) for every eps in the band.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     eps = _as_eps(epsilon)
     if not isinstance(eps, QSqrt2):
         raise TypeError("first_bad_digit requires an exact epsilon")
-    unit = eps.sign() >= 0 and eps < 1
-    if unit and eps < DOMAIN_LO:
+    if eps.sign() < 0 or eps >= 1:
+        trace = generate(SequenceSpec(eps, 2 * min(limit, 3) + 1))
+        bad = digits_from_trace(trace).anomalies()
+        return bad[0] if bad else None
+    if eps < DOMAIN_LO:
         j = _record_scan(1, (2 + SQRT2) * eps, True, limit - 2)
         return None if j is None else (j + 2, -1)
-    if unit and eps >= DOMAIN_HI:
+    if eps >= DOMAIN_HI:
         j = _record_scan(3, (SQRT2 * eps - 1) / (SQRT2 - 1), False, limit - 3)
         return None if j is None else (j + 3, 2)
-    # from here on, unit means eps is in the domain
-    if unit and INNER_LO <= eps < INNER_HI:
-        return None
-    form = integer_form(eps)
-    v = 1
-    prev_odd = 1
-    n = 1
-    while True:
-        v = exact_step(v, n, form)
-        n += 1
-        if n % 2 == 1:
-            m = (n - 1) // 2
-            d = v - 2 * prev_odd
-            if d not in (0, 1):
-                return (m, d)
-            if m >= limit:
-                return None
-            prev_odd = v
-        elif unit and v * v > 2 * prev_odd * prev_odd \
-                and (v + 1) ** 2 < 2 * (prev_odd + 1) ** 2:
-            return None
+    return None
 
 
 # alpha and beta of row 6's target, the corollary's multiplier and shift

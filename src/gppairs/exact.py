@@ -34,13 +34,16 @@ class QSqrt2:
 
     The representation is unique because sqrt2 is irrational, so equality
     and hashing are componentwise.  QSqrt2(a, b) is a + b*sqrt2 for ints or
-    Fractions a, b, which .a and .b return as Fractions.  Values are
-    immutable: setting an attribute raises AttributeError.
+    Fractions a, b, which .a and .b return as Fractions; a float raises
+    TypeError, here and as an operand.  Values are immutable: setting an
+    attribute raises AttributeError.
     """
 
     __slots__ = ("_p", "_r", "_q")
 
     def __init__(self, a: _RatLike = 0, b: _RatLike = 0):
+        if not (isinstance(a, _RatLike) and isinstance(b, _RatLike)):
+            raise TypeError(f"QSqrt2 parts must be int or Fraction: {a!r}, {b!r}")
         # no gcd needed: with q = lcm(ad, bd), each prime of q divides ad or
         # bd as often as it divides q, and then divides neither that
         # Fraction's numerator nor its multiplier q // ad (or q // bd)
@@ -71,7 +74,7 @@ class QSqrt2:
 
     @staticmethod
     def of(a: _RatLike = 0, b: _RatLike = 0) -> "QSqrt2":
-        return QSqrt2(Fraction(a), Fraction(b))
+        return QSqrt2(a, b)
 
     @staticmethod
     def sqrt2() -> "QSqrt2":
@@ -186,8 +189,8 @@ def _triple(x: "QSqrt2 | int | Fraction") -> tuple[int, int, int]:
     """The integer form (p, r, q) of a QSqrt2 or a rational."""
     if x.__class__ is QSqrt2:
         return x._p, x._r, x._q
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    if not isinstance(x, _RatLike):
+        raise TypeError(f"QSqrt2 arithmetic takes no {type(x).__name__}")
     return x.numerator, 0, x.denominator
 
 

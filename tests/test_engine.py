@@ -388,6 +388,21 @@ offsets_in_domain = st.one_of(
                                DOMAIN_HI - Fraction(1, 1 << s)))
 ) | st.sampled_from((INNER_LO, INNER_HI, DOMAIN_LO))
 
+# the ends of Lemma C's cases: -1 (a sample lower end), sqrt2/2 - 1, 0, 1
+# and 3*sqrt2/2 - 1
+LEMMA_C_EDGES = (QSqrt2.of(-1), halfint(1, 1), QSqrt2.of(0), QSqrt2.of(1), halfint(3, 1))
+
+# offsets in Q(sqrt2) outside [0, 1), and each edge of Lemma C's cases
+# moved by +-2^-s (which may land inside [0, 1))
+offsets_outside_unit = st.one_of(
+    st.builds(QSqrt2, st.fractions(-100, 100, max_denominator=1000),
+              st.fractions(-100, 100, max_denominator=1000)),
+    st.builds(halfint, st.integers(-1000, 1000), st.integers(-1000, 1000)),
+).filter(lambda eps: not 0 <= eps < 1) | st.builds(
+    lambda edge, sign, s: edge + sign * Fraction(1, 1 << s),
+    st.sampled_from(LEMMA_C_EDGES), st.sampled_from((-1, 1)), st.integers(0, 119),
+) | st.sampled_from(LEMMA_C_EDGES)
+
 
 class TestCounterexamples:
     def test_limit_none(self):
@@ -430,6 +445,59 @@ class TestCounterexamples:
             calls = 0
             assert first_bad_digit(eps, 10**6) is None
             assert calls <= 5, eps
+
+    @pytest.mark.parametrize("lo, hi, prefix", [
+        (DOMAIN_LO, INNER_LO, (1, 1, 2, 3)),  # Lemma B, phi_1 = sqrt2 - 1
+        (INNER_HI, DOMAIN_HI, (1, 2, 3, 5, 7, 10)),  # Lemma B, phi_2 = 3*sqrt2 - 4
+        (QSqrt2.of(-1), halfint(1, 1), (1, 0, 0)),  # Lemma C, d_1 <= -2
+        (halfint(1, 1), QSqrt2.of(0), (1, 1, 2, 2, 3)),  # Lemma C, d_2 = -1
+        (QSqrt2.of(1), halfint(3, 1), (1, 2, 3, 5, 7, 11, 16)),  # Lemma C, d_3 = 2
+    ])
+    def test_base_case_holds_on_whole_band(self, lo, hi, prefix):
+        # each proof's stated prefix is the trace on all of its band: one cell
+        cells = sweep(lo, hi, len(prefix))
+        assert [(c.lo, c.hi, c.prefix) for c in cells] == [(lo, hi, prefix)]
+
+    @given(offsets_outside_unit, st.integers(1, 400))
+    @settings(max_examples=200, deadline=None)
+    @example(halfint(1, 1), 1)
+    @example(halfint(1, 1), 2)
+    @example(halfint(3, 1) - Fraction(1, 1 << 119), 2)
+    @example(halfint(3, 1) - Fraction(1, 1 << 119), 3)
+    @example(halfint(3, 1), 1)
+    @example(QSqrt2.of(-1) - Fraction(1, 1 << 119), 400)
+    def test_lemma_c_on_qsqrt2_offsets(self, eps, limit):
+        assert first_bad_digit(eps, limit) == isqrt_first_bad_digit(eps, limit)
+        if not 0 <= eps < 1:
+            # Lemma C itself, on the reference: a bad digit among d_1..d_3
+            assert isqrt_first_bad_digit(eps, 3) is not None
+
+    def test_steps_taken_at_limit_one_million(self, monkeypatch):
+        # no exact step in [0, 1), and at most six (v_2..v_7) outside it
+        calls = 0
+
+        def counted(v, n, form):
+            nonlocal calls
+            calls += 1
+            return exact_step(v, n, form)
+
+        monkeypatch.setattr(engine, "exact_step", counted)
+        for eps in (QSqrt2.of(0), QSqrt2.of(Fraction(29, 100)),
+                    QSqrt2.of(Fraction(2928, 10000)), DOMAIN_LO, INNER_LO - DELTA,
+                    QSqrt2.of(Fraction(2930, 10000)), INNER_LO, QSqrt2.of(HALF),
+                    INNER_HI - DELTA, INNER_HI, QSqrt2.of(Fraction(7070, 10000)),
+                    DOMAIN_HI - DELTA, QSqrt2.of(Fraction(7073, 10000)),
+                    QSqrt2.of(1 - DELTA)):
+            calls = 0
+            first_bad_digit(eps, 10**6)
+            assert calls == 0, eps
+        for eps in (QSqrt2.of(-3), QSqrt2.of(-1), halfint(1, 1) - DELTA, halfint(1, 1),
+                    QSqrt2.of(Fraction(-1, 3)), QSqrt2.of(-DELTA), QSqrt2.of(1),
+                    QSqrt2.of(Fraction(5, 4)), halfint(3, 1) - DELTA, halfint(3, 1),
+                    QSqrt2(1, Fraction(1, 10))):
+            calls = 0
+            assert first_bad_digit(eps, 10**6) == isqrt_first_bad_digit(eps, 10**6)
+            assert calls <= 6, eps
 
     @given(offsets_outside_domain, st.integers(1, 400))
     @settings(max_examples=250, deadline=None)

@@ -202,6 +202,26 @@ class TestCanonicalForm:
         assert QSqrt2.of(1) != 1
         assert QSqrt2.of(Fraction(1, 2)) != Fraction(1, 2)
 
+    @pytest.mark.parametrize("make", [
+        lambda: QSqrt2.of(0.1),
+        lambda: QSqrt2.of(1, 0.5),
+        lambda: QSqrt2(0.5, 0),
+        lambda: QSqrt2(Fraction(1, 2), "1/2"),
+        lambda: QSqrt2.of(1) + 0.1,
+        lambda: 0.1 + QSqrt2.of(1),
+        lambda: QSqrt2.of(1) - 0.5,
+        lambda: 0.5 - QSqrt2.of(1),
+        lambda: QSqrt2.of(1) * 0.5,
+        lambda: QSqrt2.of(1) / 0.5,
+        lambda: 0.5 / QSqrt2.of(1),
+        lambda: QSqrt2.of(1) < 0.5,
+        lambda: QSqrt2.of(1) >= 0.5,
+    ])
+    def test_floats_rejected(self, make):
+        # 0.1 is a binary fraction, not 1/10: no float enters exactly
+        with pytest.raises(TypeError):
+            make()
+
 
 class TestFloor:
     def test_examples(self):
