@@ -111,6 +111,8 @@ def bisect_jump(target_index: int, target_value: int,
     """
     if tol_bits < 1:
         raise ValueError(f"tol_bits must be >= 1, got {tol_bits}")
+    if not all(isinstance(end, (int, Fraction)) for end in window):
+        raise TypeError(f"window ends must be int or Fraction: {window!r}")
     lo, hi = Fraction(window[0]), Fraction(window[1])
     v_lo = generate(SequenceSpec(lo, target_index)).values[-1]
     v_hi = generate(SequenceSpec(hi, target_index)).values[-1]
@@ -177,22 +179,27 @@ def identify_halfint_sqrt2(x: RealInterval) -> tuple[int, int]:
     largest k <= K that the width allows; z = w*(sqrt2-1)^k comes back
     exactly.  The candidate is verified by exact interval membership and
     uniqueness by the best approximation gap of sqrt2/2.
+
+    On integers, with mn/md = lo + hi = 2*mid (md > 0) and (1+sqrt2)^k = a + b*sqrt2:
+        m = floor(w/2 + 1/2) = (mn*a + md + floor(mn*b*sqrt2)) // (2*md),
+        n = floor((w - m)*sqrt2/2 + 1/2)
+          = (floor((mn*a - m*md)*sqrt2) + 2*mn*b + md) // (2*md),
+    as floor((p + r*sqrt2)/q) = (p + floor(r*sqrt2)) // q for integers p, r, q > 0.
     """
-    p, q = x.width.numerator, x.width.denominator
-    k = sum(8 * p * (a + 2 * b) <= q for a, b in _UNIT_POWERS) - 1
+    ln, ld, hn, hd = x.lo.numerator, x.lo.denominator, x.hi.numerator, x.hi.denominator
+    md, mn, wn = ld * hd, ln * hd + hn * ld, hn * ld - ln * hd  # width wn/md
+    k = sum(8 * wn * (a + 2 * b) <= md for a, b in _UNIT_POWERS) - 1
     if k >= 0:
         a, b = _UNIT_POWERS[k]
-        mid = x.mid
-        half_w = QSqrt2(mid * a, mid * b)
-        m = floor_q(half_w + Fraction(1, 2))
-        n = floor_q((half_w * 2 - m) * QSqrt2(0, Fraction(1, 2)) + Fraction(1, 2))
+        m = (mn * a + md + floor_rat_sqrt2(mn * b, 1)) // (2 * md)
+        n = (floor_rat_sqrt2(mn * a - m * md, 1) + 2 * mn * b + md) // (2 * md)
         # (sqrt2-1)^k = (-1)^k*(a - b*sqrt2)
         sgn = -1 if k % 2 else 1
         c, two_d = sgn * (n * a - m * b), -sgn * (m * a - 2 * n * b)
         d = two_d // 2
         if (two_d % 2 == 0 and abs(c) <= HALFINT_BOUND and abs(d) <= HALFINT_BOUND
                 and x.contains(halfint(c, d))):
-            if _HALFINT_GAP < x.width:
+            if _HALFINT_GAP * md < wn:
                 raise IdentificationError(
                     "interval admits multiple (c,d) candidates; tighten it")
             return c, d
@@ -218,9 +225,12 @@ class QuadPoly(NamedTuple):
 def min_poly_deg2(x: RealInterval) -> QuadPoly:
     """Minimal polynomial of the (c/2)*sqrt2 - d that identify_halfint_sqrt2
     names in the enclosure: (x + d)^2 = c^2/2, that is
-    2x^2 + 4dx + 2d^2 - c^2 over its content, or x + d when c = 0.  Any
-    other enclosed value raises IdentificationError."""
-    c, d = identify_halfint_sqrt2(x)
+    2x^2 + 4dx + 2d^2 - c^2 over its content, or x + d when c = 0 (_min_poly).
+    Any other enclosed value raises IdentificationError."""
+    return _min_poly(*identify_halfint_sqrt2(x))
+
+
+def _min_poly(c: int, d: int) -> QuadPoly:
     if c == 0:
         return QuadPoly(0, 1, d)
     a2, a1, a0 = 2, 4 * d, 2 * d * d - c * c
@@ -271,7 +281,8 @@ def rediscover_left_endpoint(pair: GPPairEntry, tol_bits: int
     else:
         depth, value = pair.certification_depth, _comp_value(pair.target)
     enclosure = bisect_jump(depth, value, _DOMAIN_WINDOW, tol_bits)
-    return enclosure, identify_halfint_sqrt2(enclosure), min_poly_deg2(enclosure)
+    c, d = identify_halfint_sqrt2(enclosure)
+    return enclosure, (c, d), _min_poly(c, d)
 
 
 def _row_sweep(pair: GPPairEntry) -> list[SweepCell]:
@@ -456,7 +467,9 @@ def _first_target(digits: tuple[int, ...], l_bound: int) -> AlgebraicTarget | No
     `digits`; None if none does.  The n digits are the bits of
     p = floor(t*2^(n-1)), and t = alpha*(1+sqrt2)/2^l - 2, so for each l the
     matching alpha fill [m*s, (m+1)*s) with m = p + 2^n and
-    s = (sqrt2-1)*2^(l+1-n): both ends are irrational, and t is in [0, 2)."""
+    s = (sqrt2-1)*2^(l+1-n): both ends are irrational, and t is in [0, 2).
+    On integers, floor((sqrt2-1)*m*2^e) = (floor(M*sqrt2) - M) >> max(-e, 0)
+    with M = m << max(e, 0), as floor(floor(y)/2^j) = floor(y/2^j)."""
     if any(d not in (0, 1) for d in digits):
         return None
     n, p = len(digits), int("".join(map(str, digits)), 2)
@@ -464,10 +477,10 @@ def _first_target(digits: tuple[int, ...], l_bound: int) -> AlgebraicTarget | No
         return SQRT2_TARGET
     m = p + (1 << n)
     for l in range(l_bound + 1):
-        s = QSqrt2(-1, 1) * Fraction(2) ** (l + 1 - n)
-        lo = floor_q(s * m) + 1
-        alpha = lo | 1
-        if alpha <= floor_q(s * (m + 1)):
+        up, down = max(l + 1 - n, 0), max(n - l - 1, 0)
+        lo_m, hi_m = m << up, (m + 1) << up
+        alpha = ((floor_rat_sqrt2(lo_m, 1) - lo_m) >> down) + 1 | 1  # floor(m*s) + 1, odd
+        if alpha <= (floor_rat_sqrt2(hi_m, 1) - hi_m) >> down:  # floor((m+1)*s)
             return AlgebraicTarget(alpha, (1 << (l + 1)) - alpha, l)
     return None
 

@@ -33,9 +33,11 @@ _SCAN_BLOCK = 4096
 
 
 def _as_eps(eps) -> QSqrt2 | RefinableReal:
+    if isinstance(eps, (QSqrt2, RefinableReal)):
+        return eps
     if isinstance(eps, (int, Fraction)):
-        return QSqrt2(Fraction(eps), Fraction(0))
-    return eps
+        return QSqrt2(eps)
+    raise TypeError(f"epsilon must be an int, Fraction, QSqrt2 or RefinableReal: {eps!r}")
 
 
 class _SpecFields(NamedTuple):

@@ -6,15 +6,14 @@ every target has the form (alpha*sqrt2 - beta)/2^l with alpha odd.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import QSqrt2
+from .exact import QSqrt2, _make
 
 
 def halfint(c: int, d: int) -> QSqrt2:
-    """The value (c/2)*sqrt2 - d."""
-    return QSqrt2(Fraction(-d), Fraction(c, 2))
+    """The value (c/2)*sqrt2 - d, that is (-2d + c*sqrt2)/2."""
+    return _make(-2 * d, c, 2)
 
 
 # universal epsilon domain [1 - sqrt2/2, sqrt2/2) from the induction's
@@ -23,8 +22,8 @@ DOMAIN_LO = halfint(-1, -1)
 DOMAIN_HI = halfint(1, 0)
 # its inner band [sqrt2/4, 1 - sqrt2/4), where every digit is binary
 # whatever the trace (engine.first_bad_digit, Lemma A)
-INNER_LO = QSqrt2(0, Fraction(1, 4))
-INNER_HI = QSqrt2(1, Fraction(-1, 4))
+INNER_LO = _make(0, 1, 4)
+INNER_HI = _make(4, -1, 4)
 
 
 class AlgebraicTarget(NamedTuple):
@@ -39,8 +38,7 @@ class AlgebraicTarget(NamedTuple):
         return 2 * self.alpha + self.beta
 
     def value(self) -> QSqrt2:
-        s = 1 << self.l
-        return QSqrt2(Fraction(-self.beta, s), Fraction(self.alpha, s))
+        return _make(-self.beta, self.alpha, 1 << self.l)
 
     @property
     def direct(self) -> bool:

@@ -141,7 +141,7 @@ class TestDiscover:
     def test_wrong_min_poly_fails(self, capsys, monkeypatch):
         from gppairs import discovery
         from gppairs.discovery import QuadPoly
-        monkeypatch.setattr(discovery, "min_poly_deg2", lambda x: QuadPoly(1, 0, -2))
+        monkeypatch.setattr(discovery, "_min_poly", lambda c, d: QuadPoly(1, 0, -2))
         code, rep = run_json(capsys, "discover", "--row", "6")
         assert code == 2
         poly = rep["results"][1]

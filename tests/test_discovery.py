@@ -255,6 +255,13 @@ class TestBisect:
         assert enc.contains(QSqrt2.of(-1, 1))
         assert enc.width <= Fraction(1, 1 << 80)
 
+    @pytest.mark.parametrize("window", [(0.3, 0.5), (Fraction(3, 10), 0.5), (0.3, Fraction(1, 2))])
+    def test_float_window_rejected(self, window):
+        """A float end would be read as its binary value, not as the decimal
+        it prints as."""
+        with pytest.raises(TypeError, match="window ends must be int or Fraction"):
+            bisect_jump(2, 2, window, 40)
+
     def test_bracket_error(self):
         with pytest.raises(ValueError):
             bisect_jump(2, 2, (Fraction(45, 100), Fraction(5, 10)), 40)
@@ -268,7 +275,80 @@ class TestBisect:
         assert enc.contains(bp)
 
 
+def _reference_identify(x: RealInterval) -> tuple[int, int]:
+    """identify_halfint_sqrt2 as it read the midpoint through QSqrt2 and
+    Fraction temporaries, kept as the reference for its integer form."""
+    p, q = x.width.numerator, x.width.denominator
+    k = sum(8 * p * (a + 2 * b) <= q for a, b in discovery._UNIT_POWERS) - 1
+    if k >= 0:
+        a, b = discovery._UNIT_POWERS[k]
+        mid = x.mid
+        half_w = QSqrt2(mid * a, mid * b)
+        m = floor_q(half_w + Fraction(1, 2))
+        n = floor_q((half_w * 2 - m) * QSqrt2(0, Fraction(1, 2)) + Fraction(1, 2))
+        sgn = -1 if k % 2 else 1
+        c, two_d = sgn * (n * a - m * b), -sgn * (m * a - 2 * n * b)
+        d = two_d // 2
+        if (two_d % 2 == 0 and abs(c) <= HALFINT_BOUND and abs(d) <= HALFINT_BOUND
+                and x.contains(QSqrt2(Fraction(-d), Fraction(c, 2)))):
+            if discovery._HALFINT_GAP < x.width:
+                raise IdentificationError(
+                    "interval admits multiple (c,d) candidates; tighten it")
+            return c, d
+    raise IdentificationError(
+        "no (c/2)*sqrt2 - d candidate found in the interval; tighten it")
+
+
+def _outcome(identify, x: RealInterval):
+    """The pair identify names in x, or its IdentificationError's message."""
+    try:
+        return identify(x)
+    except IdentificationError as exc:
+        return str(exc)
+
+
+_BOUNDED = st.integers(-HALFINT_BOUND, HALFINT_BOUND)
+
+
+@st.composite
+def _odd_denominators(draw, min_bits: int, max_bits: int) -> int:
+    bits = draw(st.integers(min_bits, max_bits))
+    return draw(st.integers(1 << (bits - 1), 1 << bits)) | 1
+
+
+@st.composite
+def _around_halfint(draw, min_bits: int = 1, max_bits: int = 260) -> RealInterval:
+    """An interval holding halfint(c, d), with ends on two unrelated odd
+    denominators, a few steps out on each side: lo may be the value itself
+    when c = 0."""
+    x = halfint(draw(_BOUNDED), draw(_BOUNDED))
+    lo_den, hi_den = (draw(_odd_denominators(min_bits, max_bits)) for _ in range(2))
+    return RealInterval(Fraction(floor_q(x * lo_den) - draw(st.integers(0, 3)), lo_den),
+                        Fraction(floor_q(x * hi_den) + draw(st.integers(1, 3)), hi_den))
+
+
+@st.composite
+def _any_interval(draw) -> RealInterval:
+    """A random rational interval, mostly holding no candidate."""
+    lo = Fraction(draw(st.integers(-(1 << 40), 1 << 40)), draw(_odd_denominators(1, 200)))
+    width = Fraction(draw(st.integers(0, 8)), draw(_odd_denominators(1, 200)))
+    return RealInterval(lo, lo + width)
+
+
 class TestIdentify:
+    @given(st.one_of(_around_halfint(), _any_interval(),
+                     _around_halfint(min_bits=20, max_bits=36)))
+    @settings(max_examples=500, deadline=None)
+    def test_same_as_qsqrt2_reference(self, x):
+        """The integer form names the same pair, or raises the same error,
+        as the QSqrt2 midpoint rounding, on asymmetric non-dyadic enclosures,
+        on random intervals and on intervals wider than _HALFINT_GAP, which
+        never name a pair."""
+        got = _outcome(identify_halfint_sqrt2, x)
+        assert got == _outcome(_reference_identify, x)
+        if discovery._HALFINT_GAP < x.width:
+            assert isinstance(got, str)
+
     @pytest.mark.parametrize("c, d", [(2, 1), (1, 0), (309, 218),
                                       (1296121037, 916495974)])
     def test_known_endpoints(self, c, d):
@@ -348,6 +428,18 @@ class TestIdentify:
         conj = [s * QSqrt2.of(2, 1) * HALFINT_BOUND for s in shrink]
         assert conj[k_max] < Fraction(1, 2) <= conj[k_max - 1]
         assert [QSqrt2.of(a, b) for a, b in powers] == grow
+
+
+class TestHalfint:
+    @given(st.integers(-(1 << 70), 1 << 70), st.integers(-(1 << 70), 1 << 70))
+    @example(0, 0)
+    @example(0, -5)
+    @example(1, 0)
+    @example(-3, 7)
+    @example(3, -7)
+    @example(-2, -1)
+    def test_same_as_fraction_parts(self, c, d):
+        assert integer_form(halfint(c, d)) == integer_form(QSqrt2(Fraction(-d), Fraction(c, 2)))
 
 
 class TestMinPoly:
@@ -459,6 +551,19 @@ class TestRediscover:
         assert cd == halfint_form(xi1)
         assert enclosure.contains(xi1) and enclosure.width <= Fraction(1, 1 << 200)
         assert poly.eval_q(xi1) == QSqrt2.of(0)
+
+    def test_identifies_once(self, monkeypatch):
+        """The minimal polynomial comes from the (c, d) already named."""
+        calls = []
+
+        def counting(x):
+            calls.append(x)
+            return identify_halfint_sqrt2(x)
+
+        monkeypatch.setattr(discovery, "identify_halfint_sqrt2", counting)
+        _, (c, d), poly = rediscover_left_endpoint(entry(6), 200)
+        assert len(calls) == 1
+        assert poly == min_poly_deg2(calls[0]) and poly.eval_q(halfint(c, d)) == QSqrt2.of(0)
 
     def test_row_1_has_no_jump(self):
         with pytest.raises(ValueError, match="does not bracket the jump"):

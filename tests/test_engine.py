@@ -102,6 +102,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SequenceSpec(Fraction(1, 2), depth=0)
 
+    @pytest.mark.parametrize("eps", [0.5, 1.0, "1/2", None])
+    def test_rejects_inexact_epsilon(self, eps):
+        """A float would be read as its binary value, and fail later inside
+        generate; the spec takes int, Fraction, QSqrt2 and RefinableReal."""
+        with pytest.raises(TypeError, match="epsilon must be"):
+            SequenceSpec(eps, 5)
+
     @given(eps_values)
     @settings(max_examples=50, deadline=None)
     def test_growth_rate(self, eps):
