@@ -14,8 +14,8 @@ from .exact import QSqrt2, floor_rat_sqrt2
 
 
 class EvalError(ValueError):
-    """Raised when interval evaluation cannot proceed (e.g. division by an
-    interval containing zero after the refinement cap)."""
+    """Raised when interval evaluation cannot proceed at a precision (e.g.
+    division by an interval containing zero); certified_floor refines on."""
 
 
 class UndecidableError(ArithmeticError):
@@ -202,53 +202,72 @@ def _as_interval(x) -> RealInterval:
     return RealInterval(Fraction(x), Fraction(x))
 
 
-def _atan_inv(q: int, bits: int) -> RealInterval:
-    """Enclosure of atan(1/q), q >= 2, from the alternating Taylor series.
+def _atan_inv(q: int, g: int) -> tuple[int, int]:
+    """(s, n) with |2^g*atan(1/q) - s| < n, for q >= 2, summed on integers.
 
-    Consecutive partial sums bracket the limit, which gives the tail bound
-    for free; endpoints are exact partial sums.
+    2^g*atan(1/q) is the alternating sum of T_k = 2^g/((2k+1)*q^(2k+1)).
+    The loop keeps p = floor(2^g/q^(2k+1)), dividing by q^2 each step, and
+    adds t_k = floor(p/(2k+1)), which is floor(T_k) by the nested-floor
+    identity floor(floor(x/a)/b) = floor(x/(a*b)) for integers a, b > 0.
+    It stops at the first k with p = 0: then q^(2k+1) > 2^g, so T_k < 1,
+    and the alternating tail, whose terms fall to 0, is below T_k.  The k
+    floors and the tail are each off by less than 1, so n = k + 1.
     """
-    s = Fraction(0)
-    k = 0
+    s = k = 0
     qq = q * q
-    term_den = q
-    bound = Fraction(1, 1 << (bits + 2))
-    while True:
-        t = Fraction(1, (2 * k + 1) * term_den)
-        s_next = s + t if k % 2 == 0 else s - t
-        if t < bound:
-            return RealInterval(min(s, s_next), max(s, s_next), bits)
-        s = s_next
+    p = (1 << g) // q
+    while p:
+        t = p // (2 * k + 1)
+        s += -t if k & 1 else t
         k += 1
-        term_den *= qq
+        p //= qq
+    return s, k + 1
 
 
-def const_pi(bits: int) -> RealInterval:
-    """Enclosure of pi via Machin's formula 16 atan(1/5) - 4 atan(1/239)."""
+def _working_bits(bits: int) -> int:
+    """Precision g of the fixed-point sums below.  They are off by O(g)
+    units of 2^-g, so these guard bits keep the error below 2^-(bits + 12),
+    a 256th of the grid that _fixed_point rounds to."""
     if bits < 8:
         raise ValueError("bits must be >= 8")
-    a5 = _atan_inv(5, bits + 8)
-    a239 = _atan_inv(239, bits + 8)
-    out = (16 * a5 - 4 * a239).dyadic_rounded(bits + 4)
+    return bits + bits.bit_length() + 16
+
+
+def _fixed_point(lo: int, hi: int, g: int, bits: int) -> RealInterval:
+    """[lo, hi]/2^g rounded outward to denominator 2^(bits + 4), tagged bits."""
+    out = RealInterval(Fraction(lo, 1 << g), Fraction(hi, 1 << g)).dyadic_rounded(bits + 4)
     return RealInterval(out.lo, out.hi, bits)
 
 
+def const_pi(bits: int) -> RealInterval:
+    """Enclosure of pi by Machin's formula 16*atan(1/5) - 4*atan(1/239),
+    each atan summed at g bits by _atan_inv: 16*s5 - 4*s239 is off from
+    2^g*pi by less than 16*n5 + 4*n239."""
+    g = _working_bits(bits)
+    s5, n5 = _atan_inv(5, g)
+    s239, n239 = _atan_inv(239, g)
+    s, n = 16 * s5 - 4 * s239, 16 * n5 + 4 * n239
+    return _fixed_point(s - n, s + n, g, bits)
+
+
 def const_e(bits: int) -> RealInterval:
-    """Enclosure of e from sum 1/k! with tail bound 2/(K+1)!."""
-    if bits < 8:
-        raise ValueError("bits must be >= 8")
-    s = Fraction(0)
-    k = 0
-    fact = 1  # k!
-    bound = Fraction(1, 1 << (bits + 2))
-    while True:
-        s += Fraction(1, fact)
+    """Enclosure of e = sum 1/k!, summed on integers at g bits.
+
+    Term t_k = floor(t_(k-1)/k) with t_0 = 2^g is floor(2^g/k!) by the same
+    nested-floor identity as in _atan_inv, so 0 <= 2^g/k! - t_k < 1, and
+    t_0, t_1 are exact.  The sum s stops at the first k with t_k = 0, where
+    k! > 2^g; the tail sum_(j >= k) 2^g/j! is at most 2^g/k! * (1 + 1/(k+1)
+    + 1/(k+1)^2 + ...) <= 2 * 2^g/k! < 2.  So 2^g*e lies in [s, s + k]: the
+    k - 2 inexact floors add less than k - 2, the tail less than 2.
+    """
+    g = _working_bits(bits)
+    s = k = 0
+    t = 1 << g
+    while t:
+        s += t
         k += 1
-        fact *= k
-        tail = Fraction(2, fact)  # 2/(k)! with k the next index: valid tail bound
-        if tail < bound:
-            out = RealInterval(s, s + tail).dyadic_rounded(bits + 4)
-            return RealInterval(out.lo, out.hi, bits)
+        t //= k
+    return _fixed_point(s, s + k, g, bits)
 
 
 @functools.lru_cache(maxsize=64)
@@ -496,17 +515,23 @@ def certified_floor(
     Starts at addend.bit_length() + 32 bits, at least 64 and rounded up to a
     power of two (so a trace refines x O(log depth) times), and doubles until
     both endpoints of the enclosure share the same integer part; raises
-    UndecidableError at `max_bits`, which no attempt exceeds.
+    UndecidableError at `max_bits`, which no attempt exceeds.  An EvalError
+    from x.refine (a divisor enclosing 0) is re-raised only at `max_bits`.
     """
     bits = min(1 << max(6, (addend.bit_length() + 31).bit_length()), max_bits)
     while True:
-        # one product: sqrt2*(v + eps) is sqrt2*v + sqrt2*eps when v, eps >= 0
-        # and lies inside it otherwise (subdistributivity, Moore 1966)
-        iv = const_sqrt2(bits) * (x.refine(bits) + addend)
-        flo = iv.lo.numerator // iv.lo.denominator
-        fhi = iv.hi.numerator // iv.hi.denominator
-        if flo == fhi:
-            return flo
-        if bits >= max_bits:
-            raise UndecidableError(max_bits, iv.lo, iv.hi)
+        try:
+            # one product: sqrt2*(v + eps) is sqrt2*v + sqrt2*eps when v, eps >= 0
+            # and lies inside it otherwise (subdistributivity, Moore 1966)
+            iv = const_sqrt2(bits) * (x.refine(bits) + addend)
+        except EvalError:
+            if bits >= max_bits:
+                raise
+        else:
+            flo = iv.lo.numerator // iv.lo.denominator
+            fhi = iv.hi.numerator // iv.hi.denominator
+            if flo == fhi:
+                return flo
+            if bits >= max_bits:
+                raise UndecidableError(max_bits, iv.lo, iv.hi)
         bits = min(bits * 2, max_bits)

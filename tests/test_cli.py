@@ -63,6 +63,14 @@ class TestDigits:
         assert code == 0
         assert rep["results"][0]["witness"] == "1 0 1 1 0 1 0 1 0 0"
 
+    @pytest.mark.parametrize("eps", ["1/(2^81*(1783366216531/567663097408-pi))",
+                                     "1/(2^73*(pi-21053343141/6701487259))"])
+    def test_divisor_holding_zero_at_the_start_is_refined(self, capsys, eps):
+        # about 0.3369 and 0.4047: the divisor's 64-bit enclosure holds 0
+        code, rep = run_json(capsys, "digits", "--epsilon", eps, "--count", "12")
+        assert code == 0
+        assert rep["results"][0]["witness"] == "0 0 1 1 0 1 0 1 0 0 0 0"
+
     def test_max_bits_is_a_cap(self, capsys):
         code, out, err = run(capsys, "digits", "--epsilon", "1-pi^2/e^3",
                              "--count", "40", "--max-bits", "16")
@@ -261,6 +269,10 @@ class TestPlotdata:
     # zero digits would pass vacuously
     (("digits", "--epsilon", "1/2", "--count", "0"), "argument --count: must be at least 1"),
     (("table", "--depth", "1"), "--depth must be at least 2*--digit-depth + 1 = 21, got 1"),
+    # a divisor that holds 0 at every precision, up to --max-bits
+    (("digits", "--epsilon", "pi/0", "--count", "10"), "division by an interval containing zero"),
+    (("digits", "--epsilon", "1/(pi-pi)", "--count", "10"),
+     "division by an interval containing zero"),
 ])
 def test_bad_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)

@@ -110,9 +110,96 @@ class TestRealInterval:
         assert r.lo.denominator <= 256 and r.hi.denominator <= 256
 
 
+def ref_atan_inv(q: int, bits: int) -> RealInterval:
+    """Reference enclosure of atan(1/q) by exact partial sums in Fractions."""
+    s = Fraction(0)
+    k = 0
+    qq = q * q
+    term_den = q
+    bound = Fraction(1, 1 << (bits + 2))
+    while True:
+        t = Fraction(1, (2 * k + 1) * term_den)
+        s_next = s + t if k % 2 == 0 else s - t
+        if t < bound:
+            return RealInterval(min(s, s_next), max(s, s_next), bits)
+        s = s_next
+        k += 1
+        term_den *= qq
+
+
+def ref_pi(bits: int) -> RealInterval:
+    """Reference pi: Machin's formula on ref_atan_inv."""
+    a5 = ref_atan_inv(5, bits + 8)
+    a239 = ref_atan_inv(239, bits + 8)
+    out = (16 * a5 - 4 * a239).dyadic_rounded(bits + 4)
+    return RealInterval(out.lo, out.hi, bits)
+
+
+def ref_e(bits: int) -> RealInterval:
+    """Reference e: sum 1/k! in Fractions with tail bound 2/(K+1)!."""
+    s = Fraction(0)
+    k = 0
+    fact = 1  # k!
+    bound = Fraction(1, 1 << (bits + 2))
+    while True:
+        s += Fraction(1, fact)
+        k += 1
+        fact *= k
+        tail = Fraction(2, fact)
+        if tail < bound:
+            out = RealInterval(s, s + tail).dyadic_rounded(bits + 4)
+            return RealInterval(out.lo, out.hi, bits)
+
+
 class TestConstants:
     # the reference decimals are rounded at 50 places
     REF_SLACK = Fraction(1, 10**49)
+
+    @pytest.mark.parametrize("const, ref", [(const_pi, ref_pi), (const_e, ref_e)],
+                             ids=["pi", "e"])
+    def test_integer_sums_enclose_the_fraction_series(self, const, ref):
+        for bits in [*range(8, 601), 1024, 2048, 4096]:
+            iv = const(bits)
+            # sound: the reference's far narrower enclosure lies inside
+            assert iv.encloses(ref(bits + 64)), bits
+            assert iv.width <= Fraction(1, 1 << (bits - 2)), bits
+            assert iv.bits == bits
+
+    @pytest.mark.parametrize("const, ref", [(const_pi, ref_pi), (const_e, ref_e)],
+                             ids=["pi", "e"])
+    def test_never_wider_than_the_fraction_series(self, const, ref):
+        # the guard bits put the sums' error far below the output grid, so
+        # the rounded enclosure is the grid step holding the constant
+        for bits in range(8, 601):
+            assert ref(bits).encloses(const(bits)), bits
+
+    @given(st.integers(2, 300), st.integers(8, 600))
+    def test_atan_error_bound(self, q, g):
+        s, n = reals._atan_inv(q, g)
+        # exact partial sums until two consecutive ones, which bracket
+        # atan(1/q), are 2^-(g + 32) apart
+        lo = hi = Fraction(0)
+        k, den, tiny = 0, q, Fraction(1, 1 << (g + 32))
+        while True:
+            t = Fraction(1, (2 * k + 1) * den)
+            lo, hi = hi, hi + t if k % 2 == 0 else hi - t
+            if t < tiny:
+                break
+            k += 1
+            den *= q * q
+        for bracket_end in (lo, hi):
+            assert abs(bracket_end * (1 << g) - s) < n
+
+    def test_against_mpmath_at_4096_bits(self):
+        import mpmath
+
+        # mpf values are exact dyadics, here within 2^-4190 of the constant
+        slack = Fraction(1, 1 << 4190)
+        with mpmath.workprec(4200):
+            for iv, ref in ((const_pi(4096), +mpmath.pi), (const_e(4096), +mpmath.e)):
+                man, exp = ref.man_exp
+                x = Fraction(man) * Fraction(2) ** exp
+                assert iv.lo + slack < x < iv.hi - slack
 
     @pytest.mark.parametrize("bits", [16, 64, 256])
     def test_pi_enclosure(self, bits):
@@ -325,6 +412,15 @@ class TestCertifiedFloor:
         want = floor_q(QSqrt2.of(0, addend + Fraction(1, 3)))
         assert certified_floor(RefinableReal("1/3"), addend=addend) == want
         assert bits == [first_bits]
+
+    def test_divisor_holding_zero_is_refined_up_to_the_budget(self):
+        # about 0.3369; at 64 bits the divisor's enclosure holds 0
+        x = RefinableReal("1/(2^81*(1783366216531/567663097408-pi))")
+        with pytest.raises(EvalError):
+            x.refine(64)
+        assert certified_floor(x, addend=1) == 1
+        with pytest.raises(EvalError):
+            certified_floor(RefinableReal("1/(pi-pi)"), max_bits=256)
 
     def test_undecidable_at_budget(self):
         # sqrt2*(sqrt2/2) = 1 exactly: no finite precision can decide the floor
